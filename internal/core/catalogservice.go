@@ -105,8 +105,13 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 	}); err != nil {
 		return nil, err
 	}
-	db := storage.NewClient(rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost))
-	s.app = catalog.NewApp(db)
+	// One meter-wide attribution context: the front door's dispatch
+	// window opens on it, and the app's loopbacks are bound to it so
+	// their charges inside that window burn untimed.
+	attr := cfg.Meter.NewSharedAttrCtx()
+	dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
+	dbLoop.SetAttrCtx(attr)
+	s.app = catalog.NewApp(storage.NewClient(dbLoop))
 
 	objSize := func(k string, o *catalog.TableInfo) int64 { return o.MemSize() + int64(len(k)) }
 	switch cfg.Arch {
@@ -117,8 +122,9 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 			Name:          "remotecache",
 			RPCCost:       cfg.RPCCost,
 		})
-		s.rc = remotecache.NewSingleClient(
-			rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost))
+		cacheLoop := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
+		cacheLoop.SetAttrCtx(attr)
+		s.rc = remotecache.NewSingleClient(cacheLoop)
 	case Linked:
 		s.lc = linkedcache.New(linkedcache.Config{
 			CapacityBytes: cfg.AppCacheBytes,
@@ -143,8 +149,7 @@ func NewCatalogService(cfg CatalogServiceConfig) (*CatalogService, error) {
 		s.m.Component("app.cache").SetMemBytes(cfg.AppCacheBytes * int64(cfg.AppReplicas))
 	}
 
-	s.front = rpc.NewServer(s.appComp, meter.NewBurner(), cfg.RPCCost)
-	s.front.SetMeterHandlerBody(false)
+	s.front = rpc.NewFrontServer(attr, s.appComp, meter.NewBurner(), cfg.RPCCost)
 	s.front.Handle("app.Read", s.handleRead)
 	s.front.Handle("app.Write", s.handleWrite)
 	return s, nil
@@ -298,55 +303,47 @@ func (s *CatalogService) write(key string, stats []byte) error {
 	}
 }
 
+// handleRead serves a client read; the front door's dispatch window
+// credits "app" with the CPU no downstream component claimed.
 func (s *CatalogService) handleRead(req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.Attribute(s.m, s.appComp, func() {
-		var r remotecache.GetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		var info *catalog.TableInfo
-		info, err = s.read(r.Key)
-		if err != nil {
-			return
-		}
-		// Application logic over the rich object: resolve a principal's
-		// effective privileges (the inheritance-aware view) and digest
-		// the stats payload — then reply with the small derived result.
-		// The client asked a governance question, not for the raw blob.
-		privs := info.AllowedFor("principal_007")
-		summary := wire.NewEncoder(64)
-		summary.String(1, info.FullName)
-		summary.String(2, info.Owner)
-		for _, p := range privs {
-			summary.String(3, p)
-		}
-		summary.Uint64(4, uint64(len(info.Constraints)))
-		summary.Uint64(5, uint64(len(info.Lineage)))
-		summary.BytesField(6, Digest(info.Stats))
-		out = wire.Marshal(&remotecache.GetResponse{
-			Found: true,
-			Value: append([]byte(nil), summary.Bytes()...),
-		})
-	})
-	return out, err
+	var r remotecache.GetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	info, err := s.read(r.Key)
+	if err != nil {
+		return nil, err
+	}
+	// Application logic over the rich object: resolve a principal's
+	// effective privileges (the inheritance-aware view) and digest
+	// the stats payload — then reply with the small derived result.
+	// The client asked a governance question, not for the raw blob.
+	privs := info.AllowedFor("principal_007")
+	summary := wire.NewEncoder(64)
+	summary.String(1, info.FullName)
+	summary.String(2, info.Owner)
+	for _, p := range privs {
+		summary.String(3, p)
+	}
+	summary.Uint64(4, uint64(len(info.Constraints)))
+	summary.Uint64(5, uint64(len(info.Lineage)))
+	summary.BytesField(6, Digest(info.Stats))
+	return wire.Marshal(&remotecache.GetResponse{
+		Found: true,
+		Value: append([]byte(nil), summary.Bytes()...),
+	}), nil
 }
 
+// handleWrite serves a client write.
 func (s *CatalogService) handleWrite(req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	meter.Attribute(s.m, s.appComp, func() {
-		var r remotecache.SetRequest
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		if err = s.write(r.Key, r.Value); err != nil {
-			return
-		}
-		out = wire.Marshal(&remotecache.Ack{OK: true})
-	})
-	return out, err
+	var r remotecache.SetRequest
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
+	}
+	if err := s.write(r.Key, r.Value); err != nil {
+		return nil, err
+	}
+	return wire.Marshal(&remotecache.Ack{OK: true}), nil
 }
 
 // Read implements Service: returns the serialized rich object.

@@ -310,17 +310,27 @@ type KVService struct {
 
 // kvLane is one request path through the service: a front door whose
 // handlers are bound to this lane's private connections, fault decision
-// stream and attribution context. The default lane (worker -1, nil attr)
-// reproduces the historical single-threaded behaviour exactly; worker
-// lanes give the concurrent driver contention-free, deterministic and
-// tightly-attributed request paths.
+// stream and attribution context. The front door's dispatch window is
+// opened on the lane's context, and the lane's loopbacks are bound to it
+// so their charges inside that window burn untimed. The default lane
+// (worker -1) attributes on a shared, meter-wide context — the classic
+// single-threaded semantics; worker lanes give the concurrent driver
+// contention-free, deterministic and tightly-attributed request paths on
+// per-goroutine contexts.
 type kvLane struct {
 	w     int            // fault decision stream; -1 = default
-	attr  *meter.AttrCtx // per-goroutine attribution; nil on the default lane
+	attr  *meter.AttrCtx // shared on the default lane, per-goroutine on workers
 	front *rpc.Server
 	db    *storage.Client
 	rc    *remotecache.Client // Remote only
 	retry *rpc.RetryConn      // Remote with CacheRetry only
+}
+
+// newDefaultLane returns the lane that mirrors the classic
+// single-threaded service: the default fault stream and the meter-wide
+// attribution context. finish gives it the shared connections.
+func newDefaultLane(m *meter.Meter) kvLane {
+	return kvLane{w: -1, attr: m.NewSharedAttrCtx()}
 }
 
 // NewKVService builds a single-process deployment: the storage node and
@@ -334,7 +344,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 	if cfg.ShardMgr != nil && cfg.CacheNodes < 2 {
 		return nil, fmt.Errorf("core: ShardMgr requires CacheNodes > 1")
 	}
-	s := &KVService{cfg: cfg, m: cfg.Meter}
+	s := &KVService{cfg: cfg, m: cfg.Meter, def: newDefaultLane(cfg.Meter)}
 	s.appComp = cfg.Meter.Component("app")
 
 	s.node = storage.NewNode(storage.Config{
@@ -354,6 +364,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 	// merged message stream.
 	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
 	dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
+	dbLoop.SetAttrCtx(s.def.attr)
 	dbLoop.SetMetrics(lbm)
 	var dbConn rpc.Conn = dbLoop
 	if cfg.Faults != nil {
@@ -379,6 +390,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 				ServeTime:     cfg.CacheNodeServeTime,
 			})
 			cacheLoop := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
+			cacheLoop.SetAttrCtx(s.def.attr)
 			cacheLoop.SetMetrics(lbm)
 			cacheConn = cacheLoop
 		}
@@ -424,7 +436,7 @@ func NewKVServiceRemote(cfg ServiceConfig, eps RemoteEndpoints) (*KVService, err
 	if cfg.CacheNodes > 1 {
 		return nil, fmt.Errorf("core: CacheNodes > 1 requires an in-process deployment")
 	}
-	s := &KVService{cfg: cfg, m: cfg.Meter}
+	s := &KVService{cfg: cfg, m: cfg.Meter, def: newDefaultLane(cfg.Meter)}
 	s.appComp = cfg.Meter.Component("app")
 	s.db = storage.NewClient(eps.DB)
 	if err := s.finish(eps.Cache); err != nil {
@@ -592,7 +604,7 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		if s.smap != nil {
 			// Multi-node tier: the default lane gets its own routed client
 			// stack (per-node loopback + faults + retries under the map).
-			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), nil, -1)
+			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), s.def.attr, -1)
 			if err != nil {
 				return err
 			}
@@ -653,10 +665,7 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		s.scaleLinkedMemory()
 	}
 
-	// The default lane mirrors the classic single-threaded service: the
-	// shared connections, the default fault stream, no attribution
-	// context.
-	s.def = kvLane{w: -1, db: s.db, rc: s.rc, retry: s.retry}
+	s.def.db, s.def.rc, s.def.retry = s.db, s.rc, s.retry
 	s.front = s.newFront(&s.def)
 	s.def.front = s.front
 
@@ -668,8 +677,7 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 
 // newFront builds a client-facing front door whose handlers run on lane l.
 func (s *KVService) newFront(l *kvLane) *rpc.Server {
-	front := rpc.NewServer(s.appComp, meter.NewBurner(), s.cfg.RPCCost)
-	front.SetMeterHandlerBody(false)
+	front := rpc.NewFrontServer(l.attr, s.appComp, meter.NewBurner(), s.cfg.RPCCost)
 	if s.cfg.Flight != nil {
 		front.SetFlight(s.cfg.Flight.Scope(s.cfg.Arch.String()))
 	}
@@ -1290,99 +1298,61 @@ func encodeAck(ok bool) []byte {
 
 // handleRead is the client-facing read: decode, pass the admission gate,
 // serve through the cache hierarchy, apply the application logic, reply
-// with the small derived result. Application CPU not attributed to a
-// downstream component lands on "app"; a worker lane's attribution
-// context keeps that split tight under concurrency. A shed request is a
-// non-error: it answers found=false (or a cache-only hit) so overload is
-// a degraded mode, not a failure storm.
+// with the small derived result. The front door's dispatch window
+// credits "app" with whatever CPU is not attributed to a downstream
+// component. A shed request is a non-error: it answers found=false (or
+// a cache-only hit) so overload is a degraded mode, not a failure storm.
 func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	b := sc.Breakdown()
-	var c0 time.Duration
-	if b != nil {
-		// Bill the request's busy time on the meter's clock (thread CPU
-		// when the driver enables it): the priced quantity the flight
-		// recorder reports per exemplar.
-		c0 = l.attr.Now()
+	act, asc := trace.Start(sc, "app", "read")
+	defer act.End()
+	var r remotecache.GetRequest // shape {1: key} — reuse the message
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
 	}
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "read")
-		defer act.End()
-		var r remotecache.GetRequest // shape {1: key} — reuse the message
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		outcome, release := s.admit(sc)
-		switch outcome {
-		case admission.ShedQueueFull:
-			act.Annotate("admission", "shed")
-			if v, ok := s.readShed(l, asc, r.Key); ok {
-				out = encodeReadOut(true, v)
-			} else {
-				out = encodeReadOut(false, nil)
-			}
-			return
-		case admission.DeadlineExpired:
-			act.Annotate("admission", "deadline")
-			out = encodeReadOut(false, nil)
-			return
-		}
-		defer release()
-		var v []byte
-		v, err = s.read(l, asc, r.Key)
-		if err != nil {
-			return
-		}
-		act.SetBytes(len(req), len(v))
-		out = encodeReadOut(true, v)
-	})
-	if b != nil {
-		b.AddCost(l.attr.Now() - c0)
+	outcome, release := s.admit(sc)
+	switch outcome {
+	case admission.ShedQueueFull:
+		act.Annotate("admission", "shed")
+		v, ok := s.readShed(l, asc, r.Key)
+		return encodeReadOut(ok, v), nil
+	case admission.DeadlineExpired:
+		act.Annotate("admission", "deadline")
+		return encodeReadOut(false, nil), nil
 	}
-	return out, err
+	defer release()
+	v, err := s.read(l, asc, r.Key)
+	if err != nil {
+		return nil, err
+	}
+	act.SetBytes(len(req), len(v))
+	return encodeReadOut(true, v), nil
 }
 
 // handleWrite is the client-facing write. A shed or expired write is
 // acknowledged ok=false and NOT applied: under overload the service
 // refuses mutations rather than applying them outside the SLO.
 func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	b := sc.Breakdown()
-	var c0 time.Duration
-	if b != nil {
-		c0 = l.attr.Now()
+	act, asc := trace.Start(sc, "app", "write")
+	defer act.End()
+	var r remotecache.SetRequest // shape {key, value}
+	if err := wire.Unmarshal(req, &r); err != nil {
+		return nil, err
 	}
-	meter.AttributeCtx(s.m, l.attr, s.appComp, func() {
-		act, asc := trace.Start(sc, "app", "write")
-		defer act.End()
-		var r remotecache.SetRequest // shape {key, value}
-		if err = wire.Unmarshal(req, &r); err != nil {
-			return
-		}
-		outcome, release := s.admit(sc)
-		switch outcome {
-		case admission.ShedQueueFull:
-			act.Annotate("admission", "shed")
-			out = encodeAck(false)
-			return
-		case admission.DeadlineExpired:
-			act.Annotate("admission", "deadline")
-			out = encodeAck(false)
-			return
-		}
-		defer release()
-		if err = s.write(l, asc, r.Key, r.Value); err != nil {
-			return
-		}
-		act.SetBytes(len(req), 0)
-		out = encodeAck(true)
-	})
-	if b != nil {
-		b.AddCost(l.attr.Now() - c0)
+	outcome, release := s.admit(sc)
+	switch outcome {
+	case admission.ShedQueueFull:
+		act.Annotate("admission", "shed")
+		return encodeAck(false), nil
+	case admission.DeadlineExpired:
+		act.Annotate("admission", "deadline")
+		return encodeAck(false), nil
 	}
-	return out, err
+	defer release()
+	if err := s.write(l, asc, r.Key, r.Value); err != nil {
+		return nil, err
+	}
+	act.SetBytes(len(req), 0)
+	return encodeAck(true), nil
 }
 
 // Read implements Service from the client's side of the front door.

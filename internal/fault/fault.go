@@ -331,7 +331,7 @@ func (in *Injector) Decide(node string) error {
 // DecideCtx is Decide on an explicit decision stream: worker >= 0 selects
 // that worker's private stream (deterministic under concurrency), worker
 // < 0 the default stream. A non-nil ctx receives the burn time charged to
-// the fault component, so a caller's AttributeCtx window can subtract it.
+// the fault component, so a caller's attribution window can subtract it.
 func (in *Injector) DecideCtx(node string, worker int, ctx *meter.AttrCtx) error {
 	return in.DecideTrace(node, worker, ctx, trace.SpanContext{})
 }

@@ -23,11 +23,11 @@ var loopbackBufPool = sync.Pool{
 // charged per-message and per-byte transport overhead — while keeping
 // experiment runs deterministic and single-process.
 type Loopback struct {
-	server *Server
-	comp   *meter.Component // caller-side attribution; may be nil
-	burner *meter.Burner
+	server  *Server
+	comp    *meter.Component // caller-side attribution; may be nil
+	burner  *meter.Burner
 	cost    CostModel
-	attr    *meter.AttrCtx // per-worker attribution context; may be nil
+	attr    *meter.AttrCtx // caller's attribution context; may be nil
 	metrics *Metrics       // per-message telemetry; may be nil
 	closed  atomic.Bool
 }
@@ -38,10 +38,14 @@ func NewLoopback(server *Server, comp *meter.Component, burner *meter.Burner, co
 	return &Loopback{server: server, comp: comp, burner: burner, cost: cost}
 }
 
-// SetAttrCtx binds a per-worker attribution context: transport charges and
-// the full dispatch wall time are recorded there, so a concurrent caller's
-// AttributeCtx window subtracts exactly this goroutine's callee time. Call
-// it before the connection is used; it is not synchronized against Call.
+// SetAttrCtx binds the caller's attribution context. While a window on
+// the caller's component is open on it (a front-door dispatch), the
+// caller-side charges burn untimed: the window already covers them.
+// Outside any window they are timed as usual. A per-goroutine context
+// also records timed charges and the full dispatch time as callee time,
+// so the caller's window subtracts exactly this goroutine's callees.
+// Call it before the connection is used; it is not synchronized against
+// Call.
 func (l *Loopback) SetAttrCtx(ctx *meter.AttrCtx) { l.attr = ctx }
 
 // SetMetrics binds per-message telemetry. Call before the connection is
@@ -74,9 +78,7 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 		return nil, net.ErrClosed
 	}
 	start := l.metrics.begin()
-	if l.comp != nil && l.burner != nil {
-		l.attr.AddInner(l.cost.Charge(l.comp, l.burner, len(req)))
-	}
+	l.charge(len(req))
 	// Copy across the "wire": the server must not alias caller memory,
 	// exactly as with a socket. The buffer is pooled — handlers may not
 	// retain the request past the call, so it is free for reuse on return.
@@ -85,7 +87,7 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	var resp []byte
 	var err error
 	if l.attr != nil {
-		// The dispatch wall — downstream attributed busy plus its glue —
+		// The dispatch time — downstream attributed busy plus its glue —
 		// is callee time from this goroutine's perspective.
 		l.attr.Span(func() { resp, err = l.server.DispatchCtx(sc, method, wireReq) })
 	} else {
@@ -104,11 +106,23 @@ func (l *Loopback) call(sc trace.SpanContext, method string, req []byte) ([]byte
 	wireResp := append(GetBuffer(), resp...)
 	*bp = wireReq
 	loopbackBufPool.Put(bp)
-	if l.comp != nil && l.burner != nil {
-		l.attr.AddInner(l.cost.Charge(l.comp, l.burner, len(wireResp)))
-	}
+	l.charge(len(wireResp))
 	l.metrics.end(start, len(req), len(wireResp), nil)
 	return wireResp, nil
+}
+
+// charge pays the caller-side transport work of one n-byte message:
+// untimed inside a window the bound context holds on the caller's
+// component, timed (and credited as callee time) otherwise.
+func (l *Loopback) charge(n int) {
+	if l.comp == nil || l.burner == nil {
+		return
+	}
+	if l.attr.Covers(l.comp) {
+		l.cost.burnIn(l.comp, l.burner, n)
+		return
+	}
+	l.attr.AddInner(l.cost.Charge(l.comp, l.burner, n))
 }
 
 // Close implements Conn.

@@ -140,7 +140,7 @@ func NewRetryConn(conn Conn, policy RetryPolicy, seed int64, comp *meter.Compone
 
 // SetAttrCtx binds a per-worker attribution context; the retry burn time
 // charged to comp is also recorded there so a concurrent caller's
-// AttributeCtx window subtracts it. Call before the conn is used.
+// attribution window subtracts it. Call before the conn is used.
 func (r *RetryConn) SetAttrCtx(ctx *meter.AttrCtx) { r.attr = ctx }
 
 // nextJitter draws the next deterministic jitter fraction in [0.5, 1).

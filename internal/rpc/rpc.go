@@ -98,14 +98,29 @@ var DefaultCost = CostModel{PerMessage: 4096, PerByte: 0.5}
 // model charges nothing and returns 0. The return value lets callers that
 // track a per-goroutine attribution context credit the charge there.
 func (m CostModel) Charge(c *meter.Component, b *meter.Burner, n int) time.Duration {
-	if m.PerMessage == 0 && m.PerByte == 0 {
-		return 0
-	}
-	work := m.PerMessage + int(m.PerByte*float64(n))
+	work := m.work(n)
 	if work <= 0 {
 		return 0
 	}
 	sw := c.Start()
 	b.Burn(work)
 	return sw.Stop()
+}
+
+// burnIn is Charge for a message handled inside an attribution window
+// already open on c: it burns the same work and counts the message, but
+// takes no clock readings — the window's own readings cover the burn.
+func (m CostModel) burnIn(c *meter.Component, b *meter.Burner, n int) {
+	if work := m.work(n); work > 0 {
+		b.Burn(work)
+		c.AddOps(1)
+	}
+}
+
+// work returns the Burner units one message of n payload bytes costs.
+func (m CostModel) work(n int) int {
+	if m.PerMessage == 0 && m.PerByte == 0 {
+		return 0
+	}
+	return m.PerMessage + int(m.PerByte*float64(n))
 }

@@ -25,7 +25,15 @@ type FlightRecorder interface {
 
 // Server dispatches incoming calls to registered handlers and attributes
 // the CPU they consume — handler body plus transport overhead — to a meter
-// component.
+// component. Each dispatch is metered in one of three ways:
+//
+//   - a leaf server (NewServer) runs the inbound charge, the handler and
+//     the outbound charge under one stopwatch: two clock readings;
+//   - a front door (NewFrontServer) runs them in one attribution window
+//     net of the callee busy time its context sees: two readings, and
+//     connections bound to the same context charge inside it untimed;
+//   - a self-metered server (SetMeterHandlerBody(false)) times the two
+//     charges alone and leaves the handler to meter its own internals.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]HandlerCtxFunc
@@ -44,6 +52,9 @@ type Server struct {
 	// internals (the storage node) disable it to avoid double counting;
 	// transport overhead is charged to comp either way.
 	meterBody bool
+	// attr, on a front door, is the attribution context each dispatch
+	// opens its window on.
+	attr *meter.AttrCtx
 	// metrics, when set, records per-dispatch latency and sizes.
 	metrics *Metrics
 	// flight, when set, records a per-request flight record around each
@@ -69,6 +80,18 @@ func NewServer(comp *meter.Component, burner *meter.Burner, cost CostModel) *Ser
 		meterBody: true,
 		listeners: make(map[net.Listener]struct{}),
 	}
+}
+
+// NewFrontServer returns a client-facing server whose every dispatch —
+// inbound charge, handler, outbound charge — is one attribution window
+// on comp, opened on ctx: comp is credited with the window's busy time
+// net of the callee busy time ctx sees (the lane's per-goroutine
+// context, or a shared one), and the window's gross time is billed to
+// the request's flight-recorder breakdown.
+func NewFrontServer(ctx *meter.AttrCtx, comp *meter.Component, burner *meter.Burner, cost CostModel) *Server {
+	s := NewServer(comp, burner, cost)
+	s.attr = ctx
+	return s
 }
 
 // SetTracer binds a tracer used to join span contexts carried by TCP
@@ -146,23 +169,46 @@ func (s *Server) dispatch(sc trace.SpanContext, method string, req []byte) ([]by
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method)
 	}
 	start := s.metrics.begin()
-	if s.comp != nil && s.burner != nil {
-		s.cost.Charge(s.comp, s.burner, len(req))
-	}
 	var resp []byte
 	var err error
-	if s.comp != nil && s.meterBody {
-		sw := s.comp.Begin() // by value: one Dispatch per frame, no alloc
+	switch {
+	case s.comp == nil:
 		resp, err = fn(sc, req)
+	case s.attr != nil:
+		w := s.attr.Open(s.comp) // by value: one Dispatch per frame, no alloc
+		s.burn(len(req))
+		resp, err = fn(sc, req)
+		s.burn(len(resp))
+		sc.AddCost(w.Close())
+	case s.meterBody:
+		sw := s.comp.Begin()
+		s.burn(len(req))
+		resp, err = fn(sc, req)
+		s.burn(len(resp))
 		sw.Stop()
-	} else {
+	default:
+		s.charge(len(req))
 		resp, err = fn(sc, req)
-	}
-	if s.comp != nil && s.burner != nil {
-		s.cost.Charge(s.comp, s.burner, len(resp))
+		s.charge(len(resp))
 	}
 	s.metrics.end(start, len(req), len(resp), err)
 	return resp, err
+}
+
+// burn pays the transport work of one n-byte message inside the
+// dispatch's open window or stopwatch.
+func (s *Server) burn(n int) {
+	if s.burner != nil {
+		s.cost.burnIn(s.comp, s.burner, n)
+	}
+}
+
+// charge pays the transport work of one n-byte message under its own
+// stopwatch, for servers whose handlers meter themselves.
+func (s *Server) charge(n int) {
+	if s.burner != nil {
+		s.cost.Charge(s.comp, s.burner, n)
+	}
 }
 
 // Serve accepts connections on l until l is closed or the server is

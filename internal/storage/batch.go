@@ -121,15 +121,9 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	defer n.histBatch.ObserveSince(time.Now())
 
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	w := n.sections.Open(n.sqlComp)
+	defer w.Close()
+	stmt, q, err := parseRequest(req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -146,6 +140,7 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	sqlAct.AnnotateInt("batch.keys", int64(len(q.Params)))
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
+	w.Next(n.execComp)
 	if err := n.group.ValidateLeaseCtx(sc); err != nil {
 		return nil, err
 	}
@@ -155,7 +150,7 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 	}
 	results := make([]*plan.ResultSet, len(q.Params))
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
+	execErr := func() error {
 		param := make([]sql.Value, 1)
 		for i, p := range q.Params {
 			param[0] = p
@@ -166,18 +161,16 @@ func (n *Node) handleBatchQuery(sc trace.SpanContext, req []byte) ([]byte, error
 			results[i] = rs
 		}
 		return nil
-	})
+	}()
 	kvAct.AnnotateInt("batch.keys", int64(len(q.Params)))
 	kvAct.End()
 	if execErr != nil {
 		return nil, execErr
 	}
-	var out []byte
-	n.trackSQL(func() {
-		e := wire.GetEncoder()
-		(&BatchQueryResponse{Results: results}).MarshalWire(e)
-		out = append([]byte(nil), e.Bytes()...)
-		wire.PutEncoder(e)
-	})
+	w.Next(n.sqlComp)
+	e := wire.GetEncoder()
+	(&BatchQueryResponse{Results: results}).MarshalWire(e)
+	out := append([]byte(nil), e.Bytes()...)
+	wire.PutEncoder(e)
 	return out, nil
 }

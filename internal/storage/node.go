@@ -112,6 +112,11 @@ type Node struct {
 	execComp *meter.Component // plan + execute, minus kv and raft time
 	kvComp   *meter.Component // storage engine (pages, block cache, disk penalty)
 	raftComp *meter.Component // replication + lease validation
+	// sections meters a statement as adjacent windows — storage.sql,
+	// storage.exec, storage.sql — net of the kv and raft time they
+	// contain (those meter themselves), one busy-clock reading per
+	// boundary. Handlers hold mu, so the net is exact. Nil unmetered.
+	sections *meter.AttrCtx
 
 	server *rpc.Server
 
@@ -142,6 +147,7 @@ func NewNode(cfg Config) *Node {
 		n.execComp = cfg.Meter.Component(cfg.Prefix + ".exec")
 		n.kvComp = cfg.Meter.Component(cfg.Prefix + ".kv")
 		n.raftComp = cfg.Meter.Component(cfg.Prefix + ".raft")
+		n.sections = cfg.Meter.NewSharedAttrCtx(n.kvComp, n.raftComp)
 	}
 
 	n.dbs = make([]*plan.DB, cfg.Replicas)
@@ -263,24 +269,20 @@ func (a *applier) Apply(cmd raft.Command) {
 		return
 	}
 	n := a.node
-	var stmt sql.Stmt
-	n.trackSQL(func() {
-		stmt, err = sql.Parse(c.SQL)
-	})
+	w := n.sections.Open(n.sqlComp)
+	defer w.Close()
+	stmt, err := sql.Parse(c.SQL)
 	if err != nil {
 		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
 		return
 	}
-	if execErr := n.trackExec(func() error {
-		rs, execErr := n.dbs[a.id].Exec(stmt, c.Params)
-		if execErr != nil {
-			return execErr
-		}
-		n.lastResult[a.id] = rs
-		return nil
-	}); execErr != nil {
-		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, execErr))
+	w.Next(n.execComp)
+	rs, err := n.dbs[a.id].Exec(stmt, c.Params)
+	if err != nil {
+		n.noteApplyErr(fmt.Errorf("storage: replica %d: %w", a.id, err))
+		return
 	}
+	n.lastResult[a.id] = rs
 }
 
 func (n *Node) noteApplyErr(err error) {
@@ -298,57 +300,16 @@ func (n *Node) ApplyErr() error {
 	return n.applyErr
 }
 
-// burnFrontend charges the per-statement SQL front-end work, attributed
-// to the front-end component when metered.
+// burnFrontend burns the per-statement SQL front-end work inside the
+// running storage.sql window, counting it as one storage.sql operation.
 func (n *Node) burnFrontend() {
 	if n.cfg.FrontendWork <= 0 {
 		return
 	}
-	if n.sqlComp != nil {
-		sw := n.sqlComp.Start()
-		n.burner.Burn(n.cfg.FrontendWork)
-		sw.Stop()
-		return
-	}
 	n.burner.Burn(n.cfg.FrontendWork)
-}
-
-// trackSQL attributes fn to the SQL front-end component.
-func (n *Node) trackSQL(fn func()) {
-	if n.sqlComp == nil {
-		fn()
-		return
+	if n.sqlComp != nil {
+		n.sqlComp.AddOps(1)
 	}
-	sw := n.sqlComp.Start()
-	fn()
-	sw.Stop()
-}
-
-// trackExec attributes fn to the executor component, net of the kv and
-// raft time fn consumed (those meter themselves). Callers hold n.mu, so
-// the deltas are exact.
-func (n *Node) trackExec(fn func() error) error {
-	if n.execComp == nil {
-		return fn()
-	}
-	kv0 := busyOf(n.kvComp)
-	raft0 := busyOf(n.raftComp)
-	t0 := time.Now()
-	err := fn()
-	total := time.Since(t0)
-	inner := (busyOf(n.kvComp) - kv0) + (busyOf(n.raftComp) - raft0)
-	if own := total - inner; own > 0 {
-		n.execComp.AddBusy(own)
-	}
-	n.execComp.AddOps(1)
-	return err
-}
-
-func busyOf(c *meter.Component) time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.Busy()
 }
 
 // Server returns the node's RPC server for use with rpc.Serve, loopback or
@@ -448,15 +409,9 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	defer n.histQuery.ObserveSince(time.Now())
 
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	w := n.sections.Open(n.sqlComp)
+	defer w.Close()
+	stmt, q, err := parseRequest(req)
 	if err != nil {
 		sqlAct.End()
 		return nil, err
@@ -468,6 +423,7 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	n.burnFrontend()
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
+	w.Next(n.execComp)
 	// Transaction layer: validate the leader lease before a local read.
 	if err := n.group.ValidateLeaseCtx(sc); err != nil {
 		return nil, err
@@ -476,20 +432,24 @@ func (n *Node) handleQuery(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if db == nil {
 		return nil, raft.ErrNotLeader
 	}
-	var rs *plan.ResultSet
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
-		var e error
-		rs, e = db.Exec(stmt, q.Params)
-		return e
-	})
+	rs, err := db.Exec(stmt, q.Params)
 	kvAct.End()
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(rs) })
-	return out, nil
+	w.Next(n.sqlComp)
+	return wire.Marshal(rs), nil
+}
+
+// parseRequest decodes a statement request and parses its SQL.
+func parseRequest(req []byte) (sql.Stmt, QueryRequest, error) {
+	var q QueryRequest
+	if err := wire.Unmarshal(req, &q); err != nil {
+		return nil, q, err
+	}
+	stmt, err := sql.Parse(q.SQL)
+	return stmt, q, err
 }
 
 // handleExec serves write statements: parsed for validation on the
@@ -501,24 +461,20 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	defer n.histExec.ObserveSince(time.Now())
 
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
-	var q QueryRequest
-	var stmt sql.Stmt
-	var err error
-	n.trackSQL(func() {
-		if err = wire.Unmarshal(req, &q); err != nil {
-			return
-		}
-		stmt, err = sql.Parse(q.SQL)
-	})
+	// The replicas' appliers meter their own sections inside Propose, so
+	// the parse window closes before it and the reply opens a new one.
+	w := n.sections.Open(n.sqlComp)
+	stmt, q, err := parseRequest(req)
+	if _, ok := stmt.(*sql.SelectStmt); ok {
+		err = fmt.Errorf("storage: sql.Exec does not accept SELECT; use sql.Query")
+	}
 	if err != nil {
+		w.Close()
 		sqlAct.End()
 		return nil, err
 	}
-	if _, ok := stmt.(*sql.SelectStmt); ok {
-		sqlAct.End()
-		return nil, fmt.Errorf("storage: sql.Exec does not accept SELECT; use sql.Query")
-	}
 	n.burnFrontend()
+	w.Close()
 	sqlAct.SetBytes(len(req), 0)
 	sqlAct.End()
 	// Dry-run validation on the leader would double-apply; instead rely
@@ -554,8 +510,9 @@ func (n *Node) handleExec(sc trace.SpanContext, req []byte) ([]byte, error) {
 	if ld := n.group.Leader(); ld >= 0 && n.lastResult[ld] != nil {
 		rs = n.lastResult[ld]
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(rs) })
+	w = n.sections.Open(n.sqlComp)
+	out := wire.Marshal(rs)
+	w.Close()
 	return out, nil
 }
 
@@ -570,12 +527,10 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	defer n.histVersion.ObserveSince(time.Now())
 
 	sqlAct, _ := trace.Start(sc, "storage.sql", "parse")
+	w := n.sections.Open(n.sqlComp)
+	defer w.Close()
 	var vr VersionRequest
-	var err error
-	n.trackSQL(func() {
-		err = wire.Unmarshal(req, &vr)
-	})
-	if err != nil {
+	if err := wire.Unmarshal(req, &vr); err != nil {
 		sqlAct.End()
 		return nil, err
 	}
@@ -583,6 +538,7 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	n.burnFrontend()
 	sqlAct.Annotate("sql.op", "version-check")
 	sqlAct.End()
+	w.Next(n.execComp)
 	if err := n.group.ValidateLeaseCtx(sc); err != nil {
 		return nil, err
 	}
@@ -592,7 +548,7 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 	}
 	resp := &VersionResponse{}
 	kvAct, _ := trace.Start(sc, "storage.kv", "exec")
-	execErr := n.trackExec(func() error {
+	execErr := func() error {
 		t, err := db.Catalog().Lookup(vr.Table)
 		if err != nil {
 			return err
@@ -612,14 +568,13 @@ func (n *Node) handleVersion(sc trace.SpanContext, req []byte) ([]byte, error) {
 			resp.Version = ver
 		}
 		return nil
-	})
+	}()
 	kvAct.End()
 	if execErr != nil {
 		return nil, execErr
 	}
-	var out []byte
-	n.trackSQL(func() { out = wire.Marshal(resp) })
-	return out, nil
+	w.Next(n.sqlComp)
+	return wire.Marshal(resp), nil
 }
 
 // rowKeyFor mirrors the plan package's key layout for version lookups.
