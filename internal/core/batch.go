@@ -38,7 +38,7 @@ type BatchServiceWorker interface {
 // architectures: one sql.BatchQuery RPC binds the point-read template
 // once per key, so storage parses, burns its front-end and validates
 // its lease once for the whole batch.
-func (s *KVService) loadBatchFromDB(l *kvLane, sc trace.SpanContext, keys []string) ([][]byte, error) {
+func (s *KVService) loadBatchFromDB(l *KVWorker, sc trace.SpanContext, keys []string) ([][]byte, error) {
 	params := make([]sql.Value, len(keys))
 	for i, k := range keys {
 		params[i] = sql.Text(k)
@@ -59,7 +59,7 @@ func (s *KVService) loadBatchFromDB(l *kvLane, sc trace.SpanContext, keys []stri
 
 // readBatch serves a multi-key read through the architecture's cache
 // hierarchy on lane l, returning raw values positionally.
-func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) ([][]byte, error) {
+func (s *KVService) readBatch(l *KVWorker, sc trace.SpanContext, keys []string) ([][]byte, error) {
 	switch s.cfg.Arch {
 	case Base:
 		return s.loadBatchFromDB(l, sc, keys)
@@ -146,7 +146,7 @@ func (s *KVService) readBatch(l *kvLane, sc trace.SpanContext, keys []string) ([
 // per-statement (each update replicates through raft on its own), but
 // the Remote architecture batches its lookaside invalidations into one
 // MultiDelete frame.
-func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, values [][]byte) error {
+func (s *KVService) writeBatch(l *KVWorker, sc trace.SpanContext, keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: WriteBatch %d keys but %d values", len(keys), len(values))
 	}
@@ -170,7 +170,7 @@ func (s *KVService) writeBatch(l *kvLane, sc trace.SpanContext, keys []string, v
 // handleReadBatch is the client-facing multi-key read: one request
 // frame in (MultiGetRequest shape {1: key...}), one reply frame out
 // carrying a packed found bitmap and one 16-byte digest per key.
-func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+func (s *KVService) handleReadBatch(l *KVWorker, sc trace.SpanContext, req []byte) ([]byte, error) {
 	act, asc := trace.Start(sc, "app", "read")
 	defer act.End()
 	var r remotecache.MultiGetRequest
@@ -200,7 +200,7 @@ func (s *KVService) handleReadBatch(l *kvLane, sc trace.SpanContext, req []byte)
 
 // handleWriteBatch is the client-facing multi-key write (MultiSetRequest
 // shape in, Ack shape out).
-func (s *KVService) handleWriteBatch(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+func (s *KVService) handleWriteBatch(l *KVWorker, sc trace.SpanContext, req []byte) ([]byte, error) {
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
 	var r remotecache.MultiSetRequest
@@ -254,47 +254,25 @@ func frontWriteBatch(sc trace.SpanContext, front *rpc.Server, keys []string, val
 	return err
 }
 
-// ReadBatch drives one multi-key client read: one root span, one front
-// door round trip, one digest per key.
-func (s *KVService) ReadBatch(keys []string) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	vs, err := frontReadBatch(sc, s.front, keys)
-	act.End()
-	return vs, err
-}
-
-// WriteBatch drives one multi-key client write.
-func (s *KVService) WriteBatch(keys []string, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWriteBatch(sc, s.front, keys, values)
-	act.End()
-	return err
-}
-
-// ReadBatch drives a multi-key read through the worker's lane.
+// ReadBatch drives one multi-key client read through the lane: one root
+// span, one front door round trip, one digest per key.
 func (w *KVWorker) ReadBatch(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	sc, act := w.s.cfg.Tracer.StartRequest("read")
-	vs, err := frontReadBatch(sc, w.l.front, keys)
+	vs, err := frontReadBatch(sc, w.front, keys)
 	act.End()
 	return vs, err
 }
 
-// WriteBatch drives a multi-key write through the worker's lane.
+// WriteBatch drives one multi-key client write through the lane.
 func (w *KVWorker) WriteBatch(keys []string, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	sc, act := w.s.cfg.Tracer.StartRequest("write")
-	err := frontWriteBatch(sc, w.l.front, keys, values)
+	err := frontWriteBatch(sc, w.front, keys, values)
 	act.End()
 	return err
 }

@@ -274,7 +274,7 @@ func TestBatchParallelDriver(t *testing.T) {
 	const warmup, ops = 200, 1200
 	started := 0
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: warmup, Ops: ops, Parallelism: 4, BatchSize: 8, Prices: meter.GCP,
+		Warmup: warmup, Ops: ops, BatchSize: 8, Prices: meter.GCP,
 		OnOp: func(int) { started++ },
 	})
 	if err != nil {

@@ -115,13 +115,12 @@ func (o FigOptions) ChaosCell(cc ChaosConfig, wcfg workload.SyntheticConfig) (*C
 	sched := fault.NewSchedule(events)
 
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup:      o.Warmup,
-		Ops:         o.Ops,
-		Parallelism: o.Parallelism,
-		Prices:      o.Prices,
-		OnOp:        func(int) { sched.Step(inj) },
-		Tracer:      o.Tracer,
-		Telemetry:   o.Telemetry,
+		Warmup:    o.Warmup,
+		Ops:       o.Ops,
+		Prices:    o.Prices,
+		OnOp:      func(int) { sched.Step(inj) },
+		Tracer:    o.Tracer,
+		Telemetry: o.Telemetry,
 	})
 	if err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	// Probe the closed-loop rate so the open-loop sweep is reliably past
 	// saturation on any machine (CI boxes vary by an order of magnitude).
 	probe, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: warmup, Ops: 500, Parallelism: par, Prices: meter.GCP,
+		Warmup: warmup, Ops: 500, Prices: meter.GCP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +68,10 @@ func TestChaosOverloadDegradesWithoutErrors(t *testing.T) {
 	// through the kill window — so the dead cache is reliably touched.
 	t0 := time.Now()
 	res, err := RunExperimentCfg(svc2, m2, gen, RunConfig{
-		Warmup:      warmup,
-		Ops:         ops,
-		Parallelism: par,
-		Prices:      meter.GCP,
-		OnOp:        func(int) { sched.Step(inj2) },
+		Warmup: warmup,
+		Ops:    ops,
+		Prices: meter.GCP,
+		OnOp:   func(int) { sched.Step(inj2) },
 		Arrival: &workload.ArrivalConfig{
 			Process: workload.ArrivalPoisson,
 			Rate:    3 * probe.Throughput, // firmly past saturation

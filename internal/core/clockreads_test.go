@@ -15,8 +15,9 @@ import (
 // cache node's single stopwatch (two). A Base read adds the storage
 // node's two timed transport charges (four), its storage.sql →
 // storage.exec → storage.sql windows (four) and the raft lease and kv
-// stopwatches (two each). A worker lane's per-goroutine context adds its
-// Span's two per hop.
+// stopwatches (two each). A lane of a multi-lane service attributes on a
+// per-goroutine context, which adds its Span's two per hop. Worker(0) of
+// a single-lane service is the lane svc.Read uses, so it reads the same.
 func TestClockReadsPerRequest(t *testing.T) {
 	const key, n = "key-00000001", 20
 	cases := []struct {
@@ -28,24 +29,33 @@ func TestClockReadsPerRequest(t *testing.T) {
 		{Remote, 1, 4},
 		{Base, 1, 14},
 	}
+	lanes := []struct {
+		par, worker int // worker < 0: svc.Read
+	}{{1, -1}, {1, 0}, {2, 1}}
 	for _, tc := range cases {
-		for _, par := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%v/P%d", tc.arch, par), func(t *testing.T) {
+		for _, ln := range lanes {
+			name := fmt.Sprintf("%v/P%d", tc.arch, ln.par)
+			if ln.par == 1 && ln.worker >= 0 {
+				name += "/Worker0"
+			}
+			t.Run(name, func(t *testing.T) {
 				m := meter.NewMeter()
 				cfg := smallCfg(tc.arch, m)
-				cfg.Parallelism = par
+				cfg.Parallelism = ln.par
 				svc, err := BuildKVService(cfg, smallGen(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				read := svc.Read
 				want := tc.want
-				if par > 1 {
-					w, err := svc.Worker(1)
+				if ln.worker >= 0 {
+					w, err := svc.Worker(ln.worker)
 					if err != nil {
 						t.Fatal(err)
 					}
 					read = w.Read
+				}
+				if ln.par > 1 {
 					want += 2 * tc.hops
 				}
 				// Warm the key into every cache tier first: the pinned

@@ -37,7 +37,7 @@ func (o FigOptions) batchCell(arch Arch, b int, cfg workload.SyntheticConfig) (*
 		return nil, err
 	}
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, BatchSize: b,
+		Warmup: o.Warmup, Ops: o.Ops, BatchSize: b,
 		Prices: o.Prices, Tracer: o.Tracer, Telemetry: o.Telemetry,
 	})
 	if err != nil {

@@ -62,20 +62,14 @@ func FigElastic(o FigOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if probe.Throughput <= 0 {
-			return nil, fmt.Errorf("core: elastic capacity probe for %s measured no throughput", arch)
+		capacity, slo, err := o.capacity("elastic "+arch.String(), probe, 250*time.Millisecond)
+		if err != nil {
+			return nil, err
 		}
 		missUSD := missCostUSD(probe, cfg.ReadRatio)
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 250*time.Millisecond {
-				slo = 250 * time.Millisecond
-			}
-		}
 		arrival := workload.ArrivalConfig{
 			Process: workload.ArrivalDiurnal,
-			Rate:    elasticLoad * probe.Throughput,
+			Rate:    elasticLoad * capacity,
 			Seed:    o.Seed,
 		}
 		// The popularity flip lands halfway through the metered window:

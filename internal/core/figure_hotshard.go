@@ -84,9 +84,10 @@ func FigHotShard(o FigOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := probe.res.Throughput
-	if capacity <= 0 {
-		return nil, fmt.Errorf("core: hotshard capacity probe measured no throughput")
+	// The probe-derived SLO is no use here (see hotshardSLO).
+	capacity, _, err := o.capacity("hotshard", probe.res, 0)
+	if err != nil {
+		return nil, err
 	}
 	slo := o.SLO
 	if slo <= 0 {
@@ -199,7 +200,7 @@ func (o FigOptions) hotshardCell(mode string, cfg workload.SyntheticConfig, par 
 		return nil, err
 	}
 	runCfg := RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+		Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 		Telemetry: o.Telemetry,
 	}
 	if arrival != nil {

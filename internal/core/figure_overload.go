@@ -47,20 +47,13 @@ func FigOverload(o FigOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		capacity := probe.Throughput
-		if capacity <= 0 {
-			return nil, fmt.Errorf("core: capacity probe for %s measured no throughput", arch)
-		}
 		// The SLO gives each op ~10x the unloaded p99 before the server
 		// declares it not worth serving; floored well above dispatch and
 		// scheduler jitter so a busy CI machine cannot expire healthy
 		// requests below saturation.
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 10*time.Millisecond {
-				slo = 10 * time.Millisecond
-			}
+		capacity, slo, err := o.capacity(arch.String(), probe, 10*time.Millisecond)
+		if err != nil {
+			return nil, err
 		}
 		for _, load := range loads {
 			res, err := o.overloadCell(arch, cfg, workload.ArrivalConfig{
@@ -117,7 +110,7 @@ func (o FigOptions) overloadCell(arch Arch, cfg workload.SyntheticConfig, arriva
 		return nil, err
 	}
 	return RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+		Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 		Telemetry: o.Telemetry,
 		Arrival:   &arrival,
 		SLO:       slo,

@@ -58,16 +58,9 @@ func FigTailwhy(o FigOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		capacity := probe.Throughput
-		if capacity <= 0 {
-			return nil, fmt.Errorf("core: capacity probe for %s measured no throughput", arch)
-		}
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 10*time.Millisecond {
-				slo = 10 * time.Millisecond
-			}
+		capacity, slo, err := o.capacity(arch.String(), probe, 10*time.Millisecond)
+		if err != nil {
+			return nil, err
 		}
 		// One recorder serves every cell; reset at the cell boundary so
 		// exemplars describe this (arch, load) point only.
@@ -158,7 +151,7 @@ func (o FigOptions) tailwhyCell(arch Arch, cfg workload.SyntheticConfig, arrival
 		return nil, err
 	}
 	return RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+		Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 		Telemetry: o.Telemetry,
 		Arrival:   &arrival,
 		SLO:       slo,

@@ -79,24 +79,18 @@ func FigTiering(o FigOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if probe.Throughput <= 0 {
-			return nil, fmt.Errorf("core: tiering capacity probe for %s measured no throughput", arch)
-		}
 		// Latency is not this figure's axis: the SLO exists so every op
 		// still traverses its full path at the diurnal peak (a shed or
 		// expired op would be answered cheaply and distort the cost
 		// comparison). A generous floor keeps the single service lane
 		// ahead of peak queueing on every split.
-		slo := o.SLO
-		if slo <= 0 {
-			slo = 10 * probe.LatencyP99
-			if slo < 250*time.Millisecond {
-				slo = 250 * time.Millisecond
-			}
+		capacity, slo, err := o.capacity("tiering "+arch.String(), probe, 250*time.Millisecond)
+		if err != nil {
+			return nil, err
 		}
 		arrival := workload.ArrivalConfig{
 			Process: workload.ArrivalDiurnal,
-			Rate:    tieringLoad * probe.Throughput,
+			Rate:    tieringLoad * capacity,
 			Seed:    o.Seed,
 		}
 		var best, allDisk, allDRAM float64

@@ -114,6 +114,20 @@ func (o FigOptions) parFor(arch Arch) int {
 	return 1
 }
 
+// capacity checks a closed-loop capacity probe and returns its
+// throughput — the rate an open-loop sweep offers multiples of — and the
+// sweep's SLO: o.SLO when set, else 10x the probe's p99 floored at floor.
+func (o FigOptions) capacity(label string, probe *RunResult, floor time.Duration) (float64, time.Duration, error) {
+	if probe.Throughput <= 0 {
+		return 0, 0, fmt.Errorf("core: %s capacity probe measured no throughput", label)
+	}
+	slo := o.SLO
+	if slo <= 0 {
+		slo = max(10*probe.LatencyP99, floor)
+	}
+	return probe.Throughput, slo, nil
+}
+
 func (o *FigOptions) applyDefaults() {
 	if o.Ops <= 0 {
 		o.Ops = 3000
@@ -166,7 +180,7 @@ func (o FigOptions) kvCell(arch Arch, cfg workload.SyntheticConfig) (*RunResult,
 		return nil, err
 	}
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+		Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 		Telemetry: o.Telemetry,
 	})
 	if err != nil {
@@ -441,7 +455,7 @@ func Fig5b(o FigOptions) (*Table, error) {
 			return nil, err
 		}
 		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 			Telemetry: o.Telemetry,
 		})
 		if err != nil {
@@ -635,7 +649,7 @@ func FigAblation(o FigOptions) (*Table, error) {
 			return nil, err
 		}
 		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup / 2, Ops: o.Ops / 2, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+			Warmup: o.Warmup / 2, Ops: o.Ops / 2, Prices: o.Prices, Tracer: o.Tracer,
 			Telemetry: o.Telemetry,
 		})
 		if err != nil {
@@ -707,7 +721,7 @@ func FigAllocation(o FigOptions) (*Table, error) {
 			return nil, err
 		}
 		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: o.Warmup, Ops: o.Ops, Parallelism: par, Prices: o.Prices, Tracer: o.Tracer,
+			Warmup: o.Warmup, Ops: o.Ops, Prices: o.Prices, Tracer: o.Tracer,
 			Telemetry: o.Telemetry,
 		})
 		if err != nil {

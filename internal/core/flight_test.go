@@ -45,7 +45,7 @@ func TestFlightConservationUnderLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			probe, err := RunExperimentCfg(svc, m, gen, RunConfig{
-				Warmup: warmup, Ops: 500, Parallelism: par, Prices: meter.GCP,
+				Warmup: warmup, Ops: 500, Prices: meter.GCP,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +75,7 @@ func TestFlightConservationUnderLoad(t *testing.T) {
 			}
 			rec.Reset()
 			if _, err := RunExperimentCfg(svc2, m2, gen, RunConfig{
-				Warmup: warmup, Ops: ops, Parallelism: par, Prices: meter.GCP,
+				Warmup: warmup, Ops: ops, Prices: meter.GCP,
 				SLO: 20 * time.Millisecond,
 				Arrival: &workload.ArrivalConfig{
 					Process: workload.ArrivalPoisson,

@@ -177,14 +177,13 @@ type ServiceConfig struct {
 	// the instrumented paths then cost one pointer test per record site.
 	Telemetry *telemetry.Registry
 
-	// Parallelism pre-builds that many worker lanes (Worker(i)) for the
-	// concurrent experiment driver. Each lane has its own front door,
-	// storage connection, cache client stack, fault decision stream and
-	// attribution context, so concurrent workers share no per-request
-	// mutable state beyond the (concurrency-safe) services themselves.
-	// Default 1: only the classic single-threaded path, byte-identical
-	// to previous behaviour. Supported for Base, Remote and Linked on
-	// in-process deployments.
+	// Parallelism is the number of request lanes (Worker(i)); the
+	// experiment driver runs one goroutine per lane. Each lane has its
+	// own front door, storage connection, cache client stack, fault
+	// decision stream and attribution context, so concurrent lanes share
+	// no per-request mutable state beyond the (concurrency-safe) services
+	// themselves. Default 1. More than one lane is supported for Base,
+	// Remote and Linked on in-process deployments.
 	Parallelism int
 }
 
@@ -252,10 +251,8 @@ type KVService struct {
 	appComp *meter.Component
 
 	node *storage.Node
-	db   *storage.Client
 
 	rcServer *remotecache.Server
-	rc       *remotecache.Client
 
 	// Multi-node cache tier (CacheNodes > 1): servers by shard-map node
 	// name, the shared placement map, and — when ShardMgr is configured
@@ -264,7 +261,6 @@ type KVService struct {
 	smap      *cluster.ShardMap
 	detector  *shardmgr.Detector
 	shardMgr  *shardmgr.Manager
-	retries   []*rpc.RetryConn // per-node retry layers (multi-node default lane)
 
 	lc      *linkedcache.Cache[[]byte]
 	vc      *consistency.VersionedCache[[]byte]
@@ -272,8 +268,8 @@ type KVService struct {
 	tc      *consistency.TTLCache[[]byte]
 	sharder *cluster.Sharder
 
-	retry    *rpc.RetryConn // cache retry layer, when configured
-	degraded *meter.Counter // cache errors demoted to misses
+	retries  []*rpc.RetryConn // every lane's cache retry layers, when configured
+	degraded *meter.Counter   // cache errors demoted to misses
 
 	// Admission control, when configured: one gate shared by every lane
 	// (slots are a service-level resource), with shed/deadline counters
@@ -290,47 +286,16 @@ type KVService struct {
 	// fault rate rises.
 	cacheReads, cacheHits atomic.Int64
 
-	front *rpc.Server // client-facing
-
-	// def is the classic single-threaded lane (default fault stream, no
-	// attribution context); lanes are the pre-built worker lanes when
-	// Parallelism > 1.
-	def   kvLane
-	lanes []*kvLane
-
-	// intendedNS is the default lane's pending intended arrival instant
-	// (see KVWorker.SetIntended); the single-threaded open-loop driver is
-	// its only writer and reader.
-	intendedNS int64
+	// lanes are the cfg.Parallelism request lanes. The embedded lane 0
+	// is the service's own client surface: KVService's Read, Write,
+	// ReadDeadline, WriteDeadline, SetIntended, ReadBatch and WriteBatch
+	// are lane 0's.
+	lanes []*KVWorker
+	*KVWorker
 
 	// obs, when set (before traffic starts), observes every successful
 	// read — the elastic controller's demand feed.
 	obs func(key string, size int64)
-}
-
-// kvLane is one request path through the service: a front door whose
-// handlers are bound to this lane's private connections, fault decision
-// stream and attribution context. The front door's dispatch window is
-// opened on the lane's context, and the lane's loopbacks are bound to it
-// so their charges inside that window burn untimed. The default lane
-// (worker -1) attributes on a shared, meter-wide context — the classic
-// single-threaded semantics; worker lanes give the concurrent driver
-// contention-free, deterministic and tightly-attributed request paths on
-// per-goroutine contexts.
-type kvLane struct {
-	w     int            // fault decision stream; -1 = default
-	attr  *meter.AttrCtx // shared on the default lane, per-goroutine on workers
-	front *rpc.Server
-	db    *storage.Client
-	rc    *remotecache.Client // Remote only
-	retry *rpc.RetryConn      // Remote with CacheRetry only
-}
-
-// newDefaultLane returns the lane that mirrors the classic
-// single-threaded service: the default fault stream and the meter-wide
-// attribution context. finish gives it the shared connections.
-func newDefaultLane(m *meter.Meter) kvLane {
-	return kvLane{w: -1, attr: m.NewSharedAttrCtx()}
 }
 
 // NewKVService builds a single-process deployment: the storage node and
@@ -344,7 +309,7 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 	if cfg.ShardMgr != nil && cfg.CacheNodes < 2 {
 		return nil, fmt.Errorf("core: ShardMgr requires CacheNodes > 1")
 	}
-	s := &KVService{cfg: cfg, m: cfg.Meter, def: newDefaultLane(cfg.Meter)}
+	s := &KVService{cfg: cfg, m: cfg.Meter}
 	s.appComp = cfg.Meter.Component("app")
 
 	s.node = storage.NewNode(storage.Config{
@@ -358,21 +323,6 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 		Tracer:             cfg.Tracer,
 		Telemetry:          cfg.Telemetry,
 	})
-	// The app talks to storage over a loopback hop; the app pays its
-	// client-side transport overhead. All in-process loopbacks share one
-	// per-transport metrics family, so process-level scrapes see the
-	// merged message stream.
-	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
-	dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-	dbLoop.SetAttrCtx(s.def.attr)
-	dbLoop.SetMetrics(lbm)
-	var dbConn rpc.Conn = dbLoop
-	if cfg.Faults != nil {
-		dbConn = cfg.Faults.Wrap(StorageFaultNode, dbConn)
-	}
-	s.db = storage.NewClient(dbConn)
-
-	var cacheConn rpc.Conn
 	if cfg.Arch == Remote {
 		if cfg.CacheNodes > 1 {
 			if err := s.buildCacheTier(); err != nil {
@@ -389,13 +339,9 @@ func NewKVService(cfg ServiceConfig) (*KVService, error) {
 				MaxConcurrent: cfg.CacheNodeConcurrency,
 				ServeTime:     cfg.CacheNodeServeTime,
 			})
-			cacheLoop := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-			cacheLoop.SetAttrCtx(s.def.attr)
-			cacheLoop.SetMetrics(lbm)
-			cacheConn = cacheLoop
 		}
 	}
-	if err := s.finish(cacheConn); err != nil {
+	if err := s.finish(nil); err != nil {
 		return nil, err
 	}
 	if err := s.node.Bootstrap([]string{
@@ -436,13 +382,12 @@ func NewKVServiceRemote(cfg ServiceConfig, eps RemoteEndpoints) (*KVService, err
 	if cfg.CacheNodes > 1 {
 		return nil, fmt.Errorf("core: CacheNodes > 1 requires an in-process deployment")
 	}
-	s := &KVService{cfg: cfg, m: cfg.Meter, def: newDefaultLane(cfg.Meter)}
+	s := &KVService{cfg: cfg, m: cfg.Meter}
 	s.appComp = cfg.Meter.Component("app")
-	s.db = storage.NewClient(eps.DB)
-	if err := s.finish(eps.Cache); err != nil {
+	if err := s.finish(&eps); err != nil {
 		return nil, err
 	}
-	if _, err := s.db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
+	if _, err := s.lanes[0].db.Exec("CREATE TABLE IF NOT EXISTS kvdata (k TEXT PRIMARY KEY, v BLOB)"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -526,54 +471,9 @@ func (s *KVService) buildCacheTier() error {
 	return nil
 }
 
-// routedCacheClient builds one lane's client stack over the multi-node
-// tier: a private loopback per node, fault wrapping per node (targets
-// CacheFaultNode(i); worker lanes draw from their own decision
-// streams), a per-node retry layer, and the shard-map router on top.
-func (s *KVService) routedCacheClient(lbm *rpc.Metrics, attr *meter.AttrCtx, worker int) (*remotecache.Client, []*rpc.RetryConn, error) {
-	cfg := s.cfg
-	conns := make(map[string]rpc.Conn, cfg.CacheNodes)
-	var retries []*rpc.RetryConn
-	for i := 0; i < cfg.CacheNodes; i++ {
-		n := cacheNodeName(i)
-		lb := rpc.NewLoopback(s.rcServers[n].RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		lb.SetAttrCtx(attr)
-		lb.SetMetrics(lbm)
-		var conn rpc.Conn = lb
-		if cfg.Faults != nil {
-			if worker < 0 {
-				conn = cfg.Faults.Wrap(CacheFaultNode(i), conn)
-			} else {
-				fc := cfg.Faults.WrapWorker(CacheFaultNode(i), worker, conn)
-				fc.SetAttrCtx(attr)
-				conn = fc
-			}
-		}
-		if cfg.CacheRetry != nil {
-			policy := *cfg.CacheRetry
-			if policy.RetryCounter == nil {
-				policy.RetryCounter = s.m.Counter(RetriesCounter)
-			}
-			seed := cfg.RetrySeed + int64(worker+1)*int64(cfg.CacheNodes) + int64(i)
-			rt := rpc.NewRetryConn(conn, policy, seed, s.appComp, meter.NewBurner())
-			rt.SetAttrCtx(attr)
-			retries = append(retries, rt)
-			conn = rt
-		}
-		conns[n] = conn
-	}
-	c, err := remotecache.NewRoutedClient(conns, s.smap)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.Degrade(s.degraded)
-	c.SetTelemetry(cfg.Telemetry)
-	return c, retries, nil
-}
-
-// finish wires the architecture's cache layer and the client-facing front
-// door. cacheConn is non-nil only for the Remote architecture.
-func (s *KVService) finish(cacheConn rpc.Conn) error {
+// finish wires the architecture's cache layer and the request lanes. eps
+// is non-nil only for a distributed deployment.
+func (s *KVService) finish(eps *RemoteEndpoints) error {
 	cfg := s.cfg
 	s.degraded = s.m.Counter(DegradedCounter)
 	if cfg.Faults != nil {
@@ -600,36 +500,6 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		}
 	}
 	switch cfg.Arch {
-	case Remote:
-		if s.smap != nil {
-			// Multi-node tier: the default lane gets its own routed client
-			// stack (per-node loopback + faults + retries under the map).
-			rc, retries, err := s.routedCacheClient(rpc.NewMetrics(cfg.Telemetry, "loopback"), s.def.attr, -1)
-			if err != nil {
-				return err
-			}
-			s.rc = rc
-			s.retries = retries
-			break
-		}
-		// Robustness layering, innermost first: fault injection at the
-		// cache node, budgeted retries above it, graceful degradation in
-		// the client above that — the stack a production lookaside
-		// client carries.
-		if cfg.Faults != nil {
-			cacheConn = cfg.Faults.Wrap(CacheNode, cacheConn)
-		}
-		if cfg.CacheRetry != nil {
-			policy := *cfg.CacheRetry
-			if policy.RetryCounter == nil {
-				policy.RetryCounter = s.m.Counter(RetriesCounter)
-			}
-			s.retry = rpc.NewRetryConn(cacheConn, policy, cfg.RetrySeed, s.appComp, meter.NewBurner())
-			cacheConn = s.retry
-		}
-		s.rc = remotecache.NewSingleClient(cacheConn)
-		s.rc.Degrade(s.degraded)
-		s.rc.SetTelemetry(cfg.Telemetry)
 	case Linked:
 		s.lc = linkedcache.New(linkedcache.Config{
 			CapacityBytes: cfg.AppCacheBytes,
@@ -664,19 +534,11 @@ func (s *KVService) finish(cacheConn rpc.Conn) error {
 		}, cfg.TTL, func(k string, v []byte) int64 { return int64(len(k) + len(v) + 64) })
 		s.scaleLinkedMemory()
 	}
-
-	s.def.db, s.def.rc, s.def.retry = s.db, s.rc, s.retry
-	s.front = s.newFront(&s.def)
-	s.def.front = s.front
-
-	if cfg.Parallelism > 1 {
-		return s.buildLanes()
-	}
-	return nil
+	return s.buildLanes(eps)
 }
 
 // newFront builds a client-facing front door whose handlers run on lane l.
-func (s *KVService) newFront(l *kvLane) *rpc.Server {
+func (s *KVService) newFront(l *KVWorker) *rpc.Server {
 	front := rpc.NewFrontServer(l.attr, s.appComp, meter.NewBurner(), s.cfg.RPCCost)
 	if s.cfg.Flight != nil {
 		front.SetFlight(s.cfg.Flight.Scope(s.cfg.Arch.String()))
@@ -688,80 +550,138 @@ func (s *KVService) newFront(l *kvLane) *rpc.Server {
 	return front
 }
 
-// buildLanes pre-builds cfg.Parallelism worker lanes. Each lane owns a
-// private storage connection and (for Remote) a private cache client
-// stack — loopback, worker-scoped fault stream, worker-seeded retry layer
-// — all bound to the lane's attribution context. Keeping the stacks
-// private is what makes per-worker fault schedules deterministic: a
-// worker's decisions never interleave into another worker's stream.
-func (s *KVService) buildLanes() error {
+// buildLanes builds the cfg.Parallelism request lanes. Each lane owns a
+// front door, a private storage connection and (for Remote) a private
+// cache client stack, all bound to the lane's attribution context.
+// Keeping the stacks private is what makes per-lane fault schedules
+// deterministic: a lane's decisions never interleave into another lane's
+// stream. A one-lane service attributes on a shared context; with
+// several lanes each lane gets a per-goroutine one, the only kind that
+// is correct under concurrency. In-process lanes talk to storage and the
+// cache tier over loopback hops whose client-side transport overhead the
+// app pays; eps, when non-nil, supplies the one lane's connections to a
+// distributed deployment instead.
+func (s *KVService) buildLanes(eps *RemoteEndpoints) error {
 	cfg := s.cfg
-	switch cfg.Arch {
-	case Base, Remote, Linked:
-	default:
-		return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
+	if cfg.Parallelism > 1 {
+		switch cfg.Arch {
+		case Base, Remote, Linked:
+		default:
+			return fmt.Errorf("core: Parallelism > 1 is not supported for the %v architecture", cfg.Arch)
+		}
 	}
-	if s.node == nil {
-		return fmt.Errorf("core: Parallelism > 1 requires an in-process deployment")
-	}
-	s.lanes = make([]*kvLane, cfg.Parallelism)
+	// All in-process loopbacks share one per-transport metrics family, so
+	// process-level scrapes see the merged message stream.
 	lbm := rpc.NewMetrics(cfg.Telemetry, "loopback")
+	s.lanes = make([]*KVWorker, cfg.Parallelism)
 	for i := range s.lanes {
-		l := &kvLane{w: i, attr: s.m.NewAttrCtx()}
-		dbLoop := rpc.NewLoopback(s.node.Server(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-		dbLoop.SetAttrCtx(l.attr)
-		dbLoop.SetMetrics(lbm)
-		var dbConn rpc.Conn = dbLoop
-		if cfg.Faults != nil {
-			fc := cfg.Faults.WrapWorker(StorageFaultNode, i, dbConn)
-			fc.SetAttrCtx(l.attr)
-			dbConn = fc
+		l := &KVWorker{s: s, w: i, attr: s.m.NewSharedAttrCtx()}
+		if cfg.Parallelism > 1 {
+			l.attr = s.m.NewAttrCtx()
+		}
+		var dbConn, cacheConn rpc.Conn
+		if eps != nil {
+			dbConn, cacheConn = eps.DB, eps.Cache
+		} else {
+			dbConn = s.withFaults(l, StorageFaultNode, s.loopback(l, s.node.Server(), lbm))
+			if s.rcServer != nil {
+				cacheConn = s.loopback(l, s.rcServer.RPCServer(), lbm)
+			}
 		}
 		l.db = storage.NewClient(dbConn)
-		if cfg.Arch == Remote && s.smap != nil {
-			rc, retries, err := s.routedCacheClient(lbm, l.attr, i)
+		if cfg.Arch == Remote {
+			rc, err := s.cacheClient(l, cacheConn, lbm)
 			if err != nil {
 				return err
 			}
 			l.rc = rc
-			s.retries = append(s.retries, retries...)
-		} else if cfg.Arch == Remote {
-			lb := rpc.NewLoopback(s.rcServer.RPCServer(), s.appComp, meter.NewBurner(), cfg.RPCCost)
-			lb.SetAttrCtx(l.attr)
-			lb.SetMetrics(lbm)
-			var cacheConn rpc.Conn = lb
-			if cfg.Faults != nil {
-				fc := cfg.Faults.WrapWorker(CacheNode, i, cacheConn)
-				fc.SetAttrCtx(l.attr)
-				cacheConn = fc
-			}
-			if cfg.CacheRetry != nil {
-				policy := *cfg.CacheRetry
-				if policy.RetryCounter == nil {
-					policy.RetryCounter = s.m.Counter(RetriesCounter)
-				}
-				rt := rpc.NewRetryConn(cacheConn, policy, cfg.RetrySeed+int64(i), s.appComp, meter.NewBurner())
-				rt.SetAttrCtx(l.attr)
-				l.retry = rt
-				cacheConn = rt
-			}
-			l.rc = remotecache.NewSingleClient(cacheConn)
-			l.rc.Degrade(s.degraded)
-			l.rc.SetTelemetry(cfg.Telemetry)
 		}
 		l.front = s.newFront(l)
 		s.lanes[i] = l
 	}
+	s.KVWorker = s.lanes[0]
 	return nil
 }
 
-// KVWorker is one pre-built parallel lane of a KVService, handed to one
-// driver goroutine. Its Read/Write go through the lane's own front door,
-// so every hop's transport charge, fault decision and retry draw stays on
-// this worker's deterministic stream.
+// loopback returns an in-process connection from lane l to srv.
+func (s *KVService) loopback(l *KVWorker, srv *rpc.Server, lbm *rpc.Metrics) rpc.Conn {
+	lb := rpc.NewLoopback(srv, s.appComp, meter.NewBurner(), s.cfg.RPCCost)
+	lb.SetAttrCtx(l.attr)
+	lb.SetMetrics(lbm)
+	return lb
+}
+
+// withFaults filters lane l's connection to node through the fault
+// injector, when one is configured, on the lane's decision stream.
+func (s *KVService) withFaults(l *KVWorker, node string, conn rpc.Conn) rpc.Conn {
+	if s.cfg.Faults == nil {
+		return conn
+	}
+	fc := s.cfg.Faults.WrapWorker(node, l.w, conn)
+	fc.SetAttrCtx(l.attr)
+	return fc
+}
+
+// cacheClient builds lane l's Remote cache client over conn (single-node
+// tier) or over a private loopback per node of the multi-node tier,
+// routed by the shard map. Robustness layering, innermost first: fault
+// injection at the cache node (CacheNode, or CacheFaultNode(i) per node),
+// budgeted retries above it, graceful degradation in the client above
+// that — the stack a production lookaside client carries. Lane w's retry
+// layers are seeded RetrySeed + w on a single node and RetrySeed +
+// w*CacheNodes + i on node i of the tier.
+func (s *KVService) cacheClient(l *KVWorker, conn rpc.Conn, lbm *rpc.Metrics) (*remotecache.Client, error) {
+	cfg := s.cfg
+	var c *remotecache.Client
+	if s.smap == nil {
+		c = remotecache.NewSingleClient(s.withRetry(l, s.withFaults(l, CacheNode, conn), cfg.RetrySeed+int64(l.w)))
+	} else {
+		conns := make(map[string]rpc.Conn, cfg.CacheNodes)
+		for i := 0; i < cfg.CacheNodes; i++ {
+			n := cacheNodeName(i)
+			nc := s.withFaults(l, CacheFaultNode(i), s.loopback(l, s.rcServers[n].RPCServer(), lbm))
+			conns[n] = s.withRetry(l, nc, cfg.RetrySeed+int64(l.w*cfg.CacheNodes+i))
+		}
+		var err error
+		if c, err = remotecache.NewRoutedClient(conns, s.smap); err != nil {
+			return nil, err
+		}
+	}
+	c.Degrade(s.degraded)
+	c.SetTelemetry(cfg.Telemetry)
+	return c, nil
+}
+
+// withRetry wraps lane l's cache connection in a retry layer seeded with
+// seed, when a CacheRetry policy is configured.
+func (s *KVService) withRetry(l *KVWorker, conn rpc.Conn, seed int64) rpc.Conn {
+	if s.cfg.CacheRetry == nil {
+		return conn
+	}
+	policy := *s.cfg.CacheRetry
+	if policy.RetryCounter == nil {
+		policy.RetryCounter = s.m.Counter(RetriesCounter)
+	}
+	rt := rpc.NewRetryConn(conn, policy, seed, s.appComp, meter.NewBurner())
+	rt.SetAttrCtx(l.attr)
+	s.retries = append(s.retries, rt)
+	return rt
+}
+
+// KVWorker is one request lane of a KVService, handed to one driver
+// goroutine: a front door whose handlers are bound to the lane's private
+// connections, fault decision stream and attribution context. The front
+// door's dispatch window is opened on the lane's context, and the lane's
+// loopbacks are bound to it so their charges inside that window burn
+// untimed. Every hop's transport charge, fault decision and retry draw
+// stays on this lane's deterministic stream.
 type KVWorker struct {
-	s *KVService
-	l *kvLane
+	s     *KVService
+	w     int            // lane index: its fault decision stream
+	attr  *meter.AttrCtx // shared on a one-lane service, per-goroutine otherwise
+	front *rpc.Server
+	db    *storage.Client
+	rc    *remotecache.Client // Remote only
 	// intendedNS is the next operation's intended arrival instant (unix
 	// nanoseconds), set by the open-loop driver via SetIntended before
 	// each op. The lane's driver goroutine is the only writer and reader,
@@ -791,29 +711,33 @@ func (w *KVWorker) withIntended(sc trace.SpanContext) trace.SpanContext {
 	return sc
 }
 
-// Worker returns lane i. The service must have been built with
-// Parallelism > i.
+// Lanes implements ParallelService: the service's lane count.
+func (s *KVService) Lanes() int { return len(s.lanes) }
+
+// Worker returns lane i, for 0 <= i < Lanes().
 func (s *KVService) Worker(i int) (ServiceWorker, error) {
 	if i < 0 || i >= len(s.lanes) {
 		return nil, fmt.Errorf("core: worker %d of %d-lane service", i, len(s.lanes))
 	}
-	return &KVWorker{s: s, l: s.lanes[i]}, nil
+	return s.lanes[i], nil
 }
 
-// Read drives a client read through the worker's lane. Each worker's
-// requests open their own root span, so concurrent traces never share
-// spans.
+// Read drives a client read through the lane's front door. The driver
+// plays the client; its own CPU is outside the bill (the paper prices the
+// service, not its callers). Each request opens its own root span here,
+// covering the whole client-visible request, so concurrent traces never
+// share spans.
 func (w *KVWorker) Read(key string) ([]byte, error) {
 	sc, act := w.s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(w.withIntended(sc), w.l.front, key)
+	v, err := frontRead(w.withIntended(sc), w.front, key)
 	act.End()
 	return v, err
 }
 
-// Write drives a client write through the worker's lane.
+// Write drives a client write through the lane's front door.
 func (w *KVWorker) Write(key string, value []byte) error {
 	sc, act := w.s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(w.withIntended(sc), w.l.front, key, value)
+	err := frontWrite(w.withIntended(sc), w.front, key, value)
 	act.End()
 	return err
 }
@@ -823,7 +747,7 @@ func (w *KVWorker) Write(key string, value []byte) error {
 // gate.
 func (w *KVWorker) ReadDeadline(key string, deadline time.Time) ([]byte, error) {
 	sc, act := w.s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(w.withIntended(sc).WithDeadline(deadline), w.l.front, key)
+	v, err := frontRead(w.withIntended(sc).WithDeadline(deadline), w.front, key)
 	act.End()
 	return v, err
 }
@@ -831,7 +755,7 @@ func (w *KVWorker) ReadDeadline(key string, deadline time.Time) ([]byte, error) 
 // WriteDeadline implements DeadlineWorker.
 func (w *KVWorker) WriteDeadline(key string, value []byte, deadline time.Time) error {
 	sc, act := w.s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(w.withIntended(sc).WithDeadline(deadline), w.l.front, key, value)
+	err := frontWrite(w.withIntended(sc).WithDeadline(deadline), w.front, key, value)
 	act.End()
 	return err
 }
@@ -870,8 +794,8 @@ func (s *KVService) RemoteCacheServer() *remotecache.Server { return s.rcServer 
 // synchronization on the hot path.
 func (s *KVService) SetAccessObserver(fn func(key string, size int64)) { s.obs = fn }
 
-// Front returns the client-facing RPC server.
-func (s *KVService) Front() *rpc.Server { return s.front }
+// Front returns the client-facing RPC server: lane 0's front door.
+func (s *KVService) Front() *rpc.Server { return s.lanes[0].front }
 
 // ShardManager returns the dynamic shard manager (nil unless ShardMgr
 // was configured). The experiment driver calls its Tick on the cadence
@@ -945,7 +869,7 @@ func (s *KVService) Preload(items []PreloadItem) error {
 			}
 			continue
 		}
-		if _, err := s.db.Exec(stmt, params...); err != nil {
+		if _, err := s.lanes[0].db.Exec(stmt, params...); err != nil {
 			return err
 		}
 	}
@@ -997,7 +921,7 @@ func ValueFor(key string, size int) []byte {
 
 // loadFromDB is the storage read path shared by all architectures, over
 // the lane's private storage connection.
-func (s *KVService) loadFromDB(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
+func (s *KVService) loadFromDB(l *KVWorker, sc trace.SpanContext, key string) ([]byte, error) {
 	rs, err := l.db.QueryCtx(sc, "SELECT v FROM kvdata WHERE k = ?", sql.Text(key))
 	if err != nil {
 		return nil, err
@@ -1008,27 +932,23 @@ func (s *KVService) loadFromDB(l *kvLane, sc trace.SpanContext, key string) ([]b
 	return rs.Rows[0][0].Blob, nil
 }
 
-func (s *KVService) loadVersioned(sc trace.SpanContext, key string) ([]byte, uint64, error) {
-	v, err := s.loadFromDB(&s.def, sc, key)
+func (s *KVService) loadVersioned(l *KVWorker, sc trace.SpanContext, key string) ([]byte, uint64, error) {
+	v, err := s.loadFromDB(l, sc, key)
 	if err != nil {
 		return nil, 0, err
 	}
-	ver, _, err := s.db.VersionCtx(sc, "kvdata", sql.Text(key))
+	ver, _, err := l.db.VersionCtx(sc, "kvdata", sql.Text(key))
 	if err != nil {
 		return nil, 0, err
 	}
 	return v, ver, nil
 }
 
-func (s *KVService) checkVersion(sc trace.SpanContext, key string) (uint64, bool, error) {
-	return s.db.VersionCtx(sc, "kvdata", sql.Text(key))
-}
-
 // linkedFault consults the fault layer for the in-process cache: an
 // injected error models the cache shard being lost or restarting, so the
 // read/write skips the cache (a degradation) and goes to storage. The
 // decision is drawn from the lane's stream.
-func (s *KVService) linkedFault(l *kvLane, sc trace.SpanContext) bool {
+func (s *KVService) linkedFault(l *KVWorker, sc trace.SpanContext) bool {
 	if s.cfg.Faults == nil {
 		return false
 	}
@@ -1042,7 +962,7 @@ func (s *KVService) linkedFault(l *kvLane, sc trace.SpanContext) bool {
 
 // read runs the architecture dispatch and feeds the access observer,
 // when one is installed (the elastic controller's windowed MRC).
-func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
+func (s *KVService) read(l *KVWorker, sc trace.SpanContext, key string) ([]byte, error) {
 	v, err := s.readArch(l, sc, key)
 	if obs := s.obs; obs != nil && err == nil {
 		// Approximate the entry's budgeted footprint the way the cache
@@ -1054,7 +974,7 @@ func (s *KVService) read(l *kvLane, sc trace.SpanContext, key string) ([]byte, e
 
 // readArch dispatches a read through the architecture's cache hierarchy
 // on lane l.
-func (s *KVService) readArch(l *kvLane, sc trace.SpanContext, key string) ([]byte, error) {
+func (s *KVService) readArch(l *KVWorker, sc trace.SpanContext, key string) ([]byte, error) {
 	switch s.cfg.Arch {
 	case Base:
 		return s.loadFromDB(l, sc, key)
@@ -1089,18 +1009,18 @@ func (s *KVService) readArch(l *kvLane, sc trace.SpanContext, key string) ([]byt
 	case LinkedVersion:
 		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
 			return s.vc.Read(key,
-				func(k string) (uint64, bool, error) { return s.checkVersion(csc, k) },
-				func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
+				func(k string) (uint64, bool, error) { return l.db.VersionCtx(csc, "kvdata", sql.Text(k)) },
+				func(k string) ([]byte, uint64, error) { return s.loadVersioned(l, csc, k) })
 		})
 		return v, err
 	case LinkedOwned:
 		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
-			return s.oc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
+			return s.oc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(l, csc, k) })
 		})
 		return v, err
 	case LinkedTTL:
 		v, _, err := s.consistentRead(sc, key, func(csc trace.SpanContext) ([]byte, bool, error) {
-			return s.tc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(csc, k) })
+			return s.tc.Read(key, func(k string) ([]byte, uint64, error) { return s.loadVersioned(l, csc, k) })
 		})
 		return v, err
 	default:
@@ -1130,7 +1050,7 @@ func (s *KVService) consistentRead(sc trace.SpanContext, key string, read func(c
 
 // write dispatches a write on lane l: storage first, then cache
 // maintenance.
-func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []byte) error {
+func (s *KVService) write(l *KVWorker, sc trace.SpanContext, key string, value []byte) error {
 	storeWrite := func() error {
 		_, err := l.db.ExecCtx(sc, "UPDATE kvdata SET v = ? WHERE k = ?", sql.Blob(value), sql.Text(key))
 		return err
@@ -1164,7 +1084,7 @@ func (s *KVService) write(l *kvLane, sc trace.SpanContext, key string, value []b
 			if err := storeWrite(); err != nil {
 				return 0, err
 			}
-			ver, _, err := s.db.VersionCtx(sc, "kvdata", sql.Text(key))
+			ver, _, err := l.db.VersionCtx(sc, "kvdata", sql.Text(key))
 			return ver, err
 		})
 	case LinkedTTL:
@@ -1249,7 +1169,7 @@ func (s *KVService) admit(sc trace.SpanContext) (admission.Outcome, func()) {
 // reads its in-process cache. Deliberately not counted in
 // cacheReads/cacheHits: the hit ratio describes the full-path policy,
 // not overload triage.
-func (s *KVService) readShed(l *kvLane, sc trace.SpanContext, key string) ([]byte, bool) {
+func (s *KVService) readShed(l *KVWorker, sc trace.SpanContext, key string) ([]byte, bool) {
 	switch s.cfg.Arch {
 	case Remote:
 		if l.rc == nil {
@@ -1302,7 +1222,7 @@ func encodeAck(ok bool) []byte {
 // credits "app" with whatever CPU is not attributed to a downstream
 // component. A shed request is a non-error: it answers found=false (or
 // a cache-only hit) so overload is a degraded mode, not a failure storm.
-func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+func (s *KVService) handleRead(l *KVWorker, sc trace.SpanContext, req []byte) ([]byte, error) {
 	act, asc := trace.Start(sc, "app", "read")
 	defer act.End()
 	var r remotecache.GetRequest // shape {1: key} — reuse the message
@@ -1331,7 +1251,7 @@ func (s *KVService) handleRead(l *kvLane, sc trace.SpanContext, req []byte) ([]b
 // handleWrite is the client-facing write. A shed or expired write is
 // acknowledged ok=false and NOT applied: under overload the service
 // refuses mutations rather than applying them outside the SLO.
-func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]byte, error) {
+func (s *KVService) handleWrite(l *KVWorker, sc trace.SpanContext, req []byte) ([]byte, error) {
 	act, asc := trace.Start(sc, "app", "write")
 	defer act.End()
 	var r remotecache.SetRequest // shape {key, value}
@@ -1353,58 +1273,6 @@ func (s *KVService) handleWrite(l *kvLane, sc trace.SpanContext, req []byte) ([]
 	}
 	act.SetBytes(len(req), 0)
 	return encodeAck(true), nil
-}
-
-// Read implements Service from the client's side of the front door.
-func (s *KVService) Read(key string) ([]byte, error) {
-	// The experiment driver plays the client; its own CPU is outside the
-	// bill (the paper prices the service, not its callers). The root span
-	// opens here too: the trace covers the whole client-visible request.
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(s.withIntended(sc), s.front, key)
-	act.End()
-	return v, err
-}
-
-// Write implements Service.
-func (s *KVService) Write(key string, value []byte) error {
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(s.withIntended(sc), s.front, key, value)
-	act.End()
-	return err
-}
-
-// ReadDeadline implements DeadlineWorker on the default lane.
-func (s *KVService) ReadDeadline(key string, deadline time.Time) ([]byte, error) {
-	sc, act := s.cfg.Tracer.StartRequest("read")
-	v, err := frontRead(s.withIntended(sc).WithDeadline(deadline), s.front, key)
-	act.End()
-	return v, err
-}
-
-// WriteDeadline implements DeadlineWorker on the default lane.
-func (s *KVService) WriteDeadline(key string, value []byte, deadline time.Time) error {
-	sc, act := s.cfg.Tracer.StartRequest("write")
-	err := frontWrite(s.withIntended(sc).WithDeadline(deadline), s.front, key, value)
-	act.End()
-	return err
-}
-
-// SetIntended implements IntendedWorker on the default lane (see
-// KVWorker.SetIntended).
-func (s *KVService) SetIntended(t time.Time) {
-	if t.IsZero() {
-		s.intendedNS = 0
-		return
-	}
-	s.intendedNS = t.UnixNano()
-}
-
-func (s *KVService) withIntended(sc trace.SpanContext) trace.SpanContext {
-	if s.intendedNS != 0 {
-		return sc.WithIntendedUnixNano(s.intendedNS)
-	}
-	return sc
 }
 
 // AdmissionStats snapshots the admission gate's conservation counters
@@ -1487,29 +1355,12 @@ func (s *KVService) CacheHitRatio() float64 {
 // no-ops so the service could keep serving through cache faults.
 func (s *KVService) Degraded() int64 { return s.degraded.Value() }
 
-// RetryStats returns the cache retry layer's counters summed over the
-// default lane and every worker lane (zero when no CacheRetry policy was
-// configured).
+// RetryStats returns the cache retry layers' counters summed over every
+// lane (zero when no CacheRetry policy was configured).
 func (s *KVService) RetryStats() rpc.RetryStats {
 	var total rpc.RetryStats
-	if s.retry != nil {
-		total = s.retry.Stats()
-	}
 	for _, rt := range s.retries {
 		st := rt.Stats()
-		total.Calls += st.Calls
-		total.Attempts += st.Attempts
-		total.Retries += st.Retries
-		total.BudgetDenied += st.BudgetDenied
-		total.DeadlineExceeded += st.DeadlineExceeded
-		total.Failures += st.Failures
-		total.BackoffTotal += st.BackoffTotal
-	}
-	for _, l := range s.lanes {
-		if l.retry == nil {
-			continue
-		}
-		st := l.retry.Stats()
 		total.Calls += st.Calls
 		total.Attempts += st.Attempts
 		total.Retries += st.Retries

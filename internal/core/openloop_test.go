@@ -17,6 +17,7 @@ import (
 type stallService struct {
 	stallAt  int64
 	stallFor time.Duration
+	lanes    int // lane count; 0 means one
 	n        atomic.Int64
 }
 
@@ -30,17 +31,17 @@ func (s *stallService) Read(key string) ([]byte, error)      { s.do(); return ni
 func (s *stallService) Write(key string, value []byte) error { s.do(); return nil }
 func (s *stallService) Arch() Arch                           { return Base }
 func (s *stallService) Close() error                         { return nil }
+func (s *stallService) Lanes() int                           { return max(s.lanes, 1) }
 func (s *stallService) Worker(i int) (ServiceWorker, error)  { return s, nil }
 
 var _ ParallelService = (*stallService)(nil)
 
-func openLoopCfg(ops int, rate float64, par int) RunConfig {
+func openLoopCfg(ops int, rate float64) RunConfig {
 	return RunConfig{
-		Warmup:      10,
-		Ops:         ops,
-		Parallelism: par,
-		Prices:      meter.GCP,
-		Arrival:     &workload.ArrivalConfig{Process: workload.ArrivalPoisson, Rate: rate, Seed: 1},
+		Warmup:  10,
+		Ops:     ops,
+		Prices:  meter.GCP,
+		Arrival: &workload.ArrivalConfig{Process: workload.ArrivalPoisson, Rate: rate, Seed: 1},
 	}
 }
 
@@ -57,7 +58,7 @@ func runStallCell(t *testing.T) *RunResult {
 	svc := &stallService{stallAt: 10 + 50, stallFor: 50 * time.Millisecond} // op 50 of the metered window
 	m := meter.NewMeter()
 	gen := synthGen(t, ops)
-	res, err := RunExperimentCfg(svc, m, gen, openLoopCfg(ops, 1000, 1))
+	res, err := RunExperimentCfg(svc, m, gen, openLoopCfg(ops, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +109,9 @@ func TestOpenLoopDeterminism(t *testing.T) {
 			t.Run(proc.String(), func(t *testing.T) {
 				const ops = 500
 				run := func() *RunResult {
-					svc := &stallService{stallAt: -1}
+					svc := &stallService{stallAt: -1, lanes: par}
 					m := meter.NewMeter()
-					cfg := openLoopCfg(ops, 20000, par)
+					cfg := openLoopCfg(ops, 20000)
 					cfg.Arrival.Process = proc
 					res, err := RunExperimentCfg(svc, m, synthGen(t, ops), cfg)
 					if err != nil {
@@ -148,7 +149,7 @@ func TestOpenLoopDeterminism(t *testing.T) {
 // offered rate is the schedule's, not a wall-clock measurement.
 func TestOpenLoopTimelineMatchesSchedule(t *testing.T) {
 	const ops = 400
-	cfg := openLoopCfg(ops, 5000, 1)
+	cfg := openLoopCfg(ops, 5000)
 	sched, err := workload.BuildSchedule(*cfg.Arrival, ops)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestOpenLoopThroughputUsesScheduleSpan(t *testing.T) {
 	const ops = 200
 	// Stall on the last op: the wall stretches ~50ms past a ~20ms span.
 	svc := &stallService{stallAt: 10 + ops - 1, stallFor: 50 * time.Millisecond}
-	cfg := openLoopCfg(ops, 10000, 1)
+	cfg := openLoopCfg(ops, 10000)
 	res, err := RunExperimentCfg(svc, meter.NewMeter(), synthGen(t, ops), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestOpenLoopThroughputUsesScheduleSpan(t *testing.T) {
 func TestOpenLoopClientShed(t *testing.T) {
 	const ops = 300
 	svc := &stallService{stallAt: 10, stallFor: 200 * time.Millisecond} // first metered op stalls
-	cfg := openLoopCfg(ops, 5000, 1)
+	cfg := openLoopCfg(ops, 5000)
 	cfg.LaneDepth = 4
 	res, err := RunExperimentCfg(svc, meter.NewMeter(), synthGen(t, ops), cfg)
 	if err != nil {
@@ -217,7 +218,7 @@ func TestOpenLoopClientShed(t *testing.T) {
 
 // TestOpenLoopRejectsBatching pins the config validation.
 func TestOpenLoopRejectsBatching(t *testing.T) {
-	cfg := openLoopCfg(10, 1000, 1)
+	cfg := openLoopCfg(10, 1000)
 	cfg.BatchSize = 4
 	if _, err := RunExperimentCfg(&stallService{stallAt: -1}, meter.NewMeter(), synthGen(t, 10), cfg); err == nil {
 		t.Fatal("open loop with BatchSize > 1 did not error")

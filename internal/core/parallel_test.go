@@ -33,7 +33,7 @@ func parCell(t *testing.T, arch Arch, par int, seed int64) *RunResult {
 		t.Fatal(err)
 	}
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: 300, Ops: 1500, Parallelism: par, Prices: meter.GCP,
+		Warmup: 300, Ops: 1500, Prices: meter.GCP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestParallelServiceFaultsDegradeNotFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-		Warmup: 200, Ops: 1200, Parallelism: par, Prices: meter.GCP,
+		Warmup: 200, Ops: 1200, Prices: meter.GCP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +253,10 @@ func TestParallelWorkerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Worker(0); err == nil {
-		t.Error("Worker(0) on a single-lane service should fail")
+	for _, i := range []int{1, -1} {
+		if _, err := svc.Worker(i); err == nil {
+			t.Errorf("Worker(%d) on a single-lane service should fail", i)
+		}
 	}
 	cfg := smallCfg(LinkedTTL, m)
 	cfg.Parallelism = 2

@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cachecost/internal/meter"
@@ -42,7 +39,7 @@ type RunResult struct {
 	// §5.3/§5.5 path model). Zero when the run had no Tracer.
 	Path trace.PathStats
 
-	// Parallelism is the worker count the metered window ran at.
+	// Parallelism is the number of lanes the metered window ran on.
 	Parallelism int
 	// Wall is the metered window's wall-clock duration.
 	Wall time.Duration
@@ -102,18 +99,22 @@ type hitRatioReporter interface {
 	CacheHitRatio() float64
 }
 
-// ServiceWorker is one worker's view of a service: the subset of Service
-// a driver goroutine needs. Each worker must be used by one goroutine at
-// a time.
+// ServiceWorker is one lane's view of a service: the subset of Service a
+// driver goroutine needs. Each lane must be used by one goroutine at a
+// time.
 type ServiceWorker interface {
 	Read(key string) ([]byte, error)
 	Write(key string, value []byte) error
 }
 
-// ParallelService is a Service that pre-built per-worker request lanes
-// (KVService with ServiceConfig.Parallelism > 1).
+// ParallelService is a Service with pre-built request lanes (KVService:
+// ServiceConfig.Parallelism of them). The driver runs one goroutine per
+// lane; a Service without lanes is driven as one lane.
 type ParallelService interface {
 	Service
+	// Lanes returns the number of lanes, at least 1.
+	Lanes() int
+	// Worker returns lane i, for 0 <= i < Lanes().
 	Worker(i int) (ServiceWorker, error)
 }
 
@@ -121,30 +122,23 @@ type ParallelService interface {
 type RunConfig struct {
 	// Warmup operations run unmetered before the window; Ops are metered.
 	Warmup, Ops int
-	// Parallelism fans the workload out to that many worker goroutines
-	// (each on its own service lane). <= 1 runs the classic sequential
-	// loop. The aggregate op stream is identical at any parallelism: ops
-	// are drawn from the generator once, in order, and dealt round-robin
-	// to workers.
-	Parallelism int
-	// BatchSize groups each worker's operations into multi-key batches
-	// of this size (the service must implement BatchServiceWorker).
-	// Within one batch the reads are issued as one ReadBatch and the
-	// writes as one WriteBatch — reads first — so op order is preserved
-	// across batches but not within one; the aggregate op multiset is
-	// identical at any batch size. OnOp still fires once per op, per-op
-	// latency is approximated as batch wall time / batch ops, and the
-	// meter still normalizes cost per op, so results are comparable
-	// across B. <= 1 runs the classic per-op path, byte-identical to
-	// previous behaviour.
+	// BatchSize groups each lane's operations into multi-key batches of
+	// this size (the lanes must implement BatchServiceWorker). Within one
+	// batch the reads are issued as one ReadBatch and the writes as one
+	// WriteBatch — reads first — so op order is preserved across batches
+	// but not within one; the aggregate op multiset is identical at any
+	// batch size. OnOp still fires once per op, per-op latency is the
+	// batch's wall time / batch ops, and the meter still normalizes cost
+	// per op, so results are comparable across B. <= 1 issues one op per
+	// call.
 	BatchSize int
 	// Prices is the price book for the report.
 	Prices meter.PriceBook
 	// OnOp, when non-nil, is called before each operation — warmup and
 	// metered alike — with the number of operations started before it.
-	// Calls are serialized; under parallelism the order operations start
-	// in is scheduler-dependent, but exactly one call fires per op.
-	// Chaos schedules advance here.
+	// Calls are serialized and numbered in call order; with several
+	// lanes the order operations start in is scheduler-dependent, but
+	// exactly one call fires per op. Chaos schedules advance here.
 	OnOp func(n int)
 	// Arrival, when non-nil, switches the metered window to open-loop
 	// driving: a deterministic schedule of cfg.Ops intended arrivals is
@@ -158,8 +152,8 @@ type RunConfig struct {
 	// request path (and across transports) for admission control.
 	// Zero means no deadline.
 	SLO time.Duration
-	// LaneDepth bounds each worker lane's client-side queue under open
-	// loop; an op arriving to a full lane is dropped and counted in
+	// LaneDepth bounds each lane's client-side queue under open loop; an
+	// op arriving to a full lane is dropped and counted in
 	// RunResult.ClientShed. Default 1024.
 	LaneDepth int
 	// Tracer, when non-nil, is the tracer the service was assembled with
@@ -176,67 +170,29 @@ type RunConfig struct {
 
 // RunExperiment drives svc with ops operations from gen (after warmup
 // unmetered operations), then prices the metered window. The meter must
-// be the one the service was assembled with. This is the classic
-// sequential entry point; see RunExperimentCfg for the concurrent driver.
+// be the one the service was assembled with.
 func RunExperiment(svc Service, m *meter.Meter, gen workload.Generator, warmup, ops int, prices meter.PriceBook) (*RunResult, error) {
 	return RunExperimentCfg(svc, m, gen, RunConfig{Warmup: warmup, Ops: ops, Prices: prices})
 }
 
-// applyOp executes one workload op against a worker surface.
-func applyOp(svc ServiceWorker, op workload.Op) error {
-	switch op.Kind {
-	case workload.Read:
-		if _, err := svc.Read(op.Key); err != nil {
-			return fmt.Errorf("core: read %q: %w", op.Key, err)
-		}
-	case workload.Write:
-		if err := svc.Write(op.Key, ValueFor(op.Key, op.ValueSize)); err != nil {
-			return fmt.Errorf("core: write %q: %w", op.Key, err)
-		}
-	}
-	return nil
-}
-
 // RunExperimentCfg drives svc with cfg.Ops operations from gen (after
-// cfg.Warmup unmetered operations) across cfg.Parallelism workers, then
+// cfg.Warmup unmetered operations) across the service's lanes, then
 // prices the metered window and reports throughput and latency
 // percentiles alongside cost.
 func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) (*RunResult, error) {
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
-	// Meter on the thread-CPU clock for the whole run (driver goroutines
-	// are pinned to OS threads below): busy time then counts only CPU the
+	// Meter on the thread-CPU clock for the whole run (lane goroutines
+	// are pinned to OS threads): busy time then counts only CPU the
 	// measured code actually consumed, not wall time it spent preempted
-	// by other workers or parked on a lock. On an idle machine this is
-	// identical to the classic wall measurement for the single-threaded
-	// driver, and it is what keeps cost/Mreq parallelism-invariant.
+	// by other lanes or parked on a lock. On an idle machine this is
+	// identical to the wall measurement for one lane, and it is what
+	// keeps cost/Mreq parallelism-invariant.
 	m.SetThreadCPUClock(true)
 	defer m.SetThreadCPUClock(false)
-	var lats []time.Duration
-	var wall time.Duration
-	var ol *openLoopStats
-	var err error
-	switch {
-	case cfg.Arrival != nil && cfg.BatchSize > 1:
-		return nil, fmt.Errorf("core: open-loop driving does not support batching")
-	case cfg.Arrival != nil:
-		ol, err = runOpenLoop(svc, m, gen, cfg)
-		if ol != nil {
-			lats, wall = ol.intended, ol.wall
-		}
-	case cfg.BatchSize > 1 && cfg.Parallelism == 1:
-		lats, wall, err = runSequentialBatched(svc, m, gen, cfg)
-	case cfg.BatchSize > 1:
-		lats, wall, err = runParallelBatched(svc, m, gen, cfg)
-	case cfg.Parallelism == 1:
-		lats, wall, err = runSequential(svc, m, gen, cfg)
-	default:
-		lats, wall, err = runParallel(svc, m, gen, cfg)
-	}
+	win, err := drive(svc, m, gen, cfg)
 	if err != nil {
 		return nil, err
 	}
+	lats := win.lats
 	path := cfg.Tracer.PathStats()
 	var hists []telemetry.HistSummary
 	if cfg.Telemetry != nil {
@@ -246,12 +202,12 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 	// client-shed ops never reached the service and must not dilute
 	// cost/Mreq.
 	metered := cfg.Ops
-	if ol != nil {
-		metered = ol.executed
+	if win.sched != nil {
+		metered = win.executed
 	}
 	m.AddRequests(int64(metered))
 	report := meter.BuildReport(m, cfg.Prices)
-	if cfg.Parallelism > 1 && len(lats) > 0 {
+	if win.lanes > 1 && len(lats) > 0 {
 		// Memory amortization under a concurrent driver: see
 		// meter.Report.LaneQPS. The single-lane rate is 1/mean latency.
 		var sum time.Duration
@@ -267,7 +223,7 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 	res := &RunResult{
 		Arch:         svc.Arch(),
 		Workload:     gen.Name(),
-		Ops:          cfg.Ops,
+		Ops:          metered,
 		Report:       report,
 		Degraded:     m.CounterValue(DegradedCounter),
 		Retries:      m.CounterValue(RetriesCounter),
@@ -279,34 +235,33 @@ func RunExperimentCfg(svc Service, m *meter.Meter, gen workload.Generator, cfg R
 		CacheCores:   report.ComponentCores("remotecache"),
 		StorageCores: report.ComponentCores("storage"),
 		Path:         path,
-		Parallelism:  cfg.Parallelism,
-		Wall:         wall,
+		Parallelism:  win.lanes,
+		Wall:         win.wall,
 		Hists:        hists,
 	}
-	if ol != nil {
-		res.Ops = ol.executed
-		res.Arrival = ol.name
-		res.Offered = ol.offered
-		res.Executed = ol.executed
-		res.ClientShed = ol.clientShed
+	if sched := win.sched; sched != nil {
+		res.Arrival = sched.Name()
+		res.Offered = cfg.Ops
+		res.Executed = win.executed
+		res.ClientShed = win.clientShed
 		res.ServerShed = m.CounterValue(ShedCounter)
 		res.DeadlineExceeded = m.CounterValue(DeadlineExceededCounter)
-		res.ScheduleSpan = ol.span
-		if sp := ol.span.Seconds(); sp > 0 {
-			res.OfferedQPS = float64(ol.offered) / sp
+		res.ScheduleSpan = sched.Span()
+		if sp := sched.Span().Seconds(); sp > 0 {
+			res.OfferedQPS = float64(cfg.Ops) / sp
 			// The slowest lane's wall clock includes drain time past the
 			// schedule's end; the schedule span is the honest denominator
 			// for rate at a given offered load.
-			res.Throughput = float64(ol.executed) / sp
+			res.Throughput = float64(win.executed) / sp
 		}
-		if len(ol.send) > 0 {
-			send := append([]time.Duration(nil), ol.send...)
+		if len(win.send) > 0 {
+			send := append([]time.Duration(nil), win.send...)
 			sort.Slice(send, func(i, j int) bool { return send[i] < send[j] })
 			res.SendLatencyP50 = send[percentileIndex(len(send), 50)]
 			res.SendLatencyP99 = send[percentileIndex(len(send), 99)]
 		}
-	} else if wall > 0 {
-		res.Throughput = float64(cfg.Ops) / wall.Seconds()
+	} else if win.wall > 0 {
+		res.Throughput = float64(cfg.Ops) / win.wall.Seconds()
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -330,152 +285,6 @@ func percentileIndex(n, p int) int {
 		i = n - 1
 	}
 	return i
-}
-
-// runSequential is the classic single-threaded loop: ops stream straight
-// from the generator, preserving historical behaviour exactly.
-func runSequential(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	// Pin the driving goroutine so the meter's thread-CPU readings are
-	// all taken against one thread's clock.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-	n := 0
-	apply := func(count int, lats []time.Duration) ([]time.Duration, error) {
-		for i := 0; i < count; i++ {
-			if cfg.OnOp != nil {
-				cfg.OnOp(n)
-			}
-			n++
-			op := gen.Next()
-			t0 := time.Now()
-			if err := applyOp(svc, op); err != nil {
-				return lats, err
-			}
-			d := time.Since(t0)
-			reqHist.Observe(int64(d))
-			if lats != nil {
-				lats = append(lats, d)
-			}
-		}
-		return lats, nil
-	}
-	if _, err := apply(cfg.Warmup, nil); err != nil {
-		return nil, 0, err
-	}
-	// Collect garbage from setup and warmup (and from earlier experiment
-	// cells in the same process) so the metered window does not absorb
-	// another deployment's GC debt.
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	lats, err := apply(cfg.Ops, make([]time.Duration, 0, cfg.Ops))
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return lats, wall, nil
-}
-
-// runParallel fans the op stream out to cfg.Parallelism workers. The
-// whole stream (warmup then metered) is drawn from the generator up
-// front, in the same order the sequential driver would, and dealt
-// round-robin: worker w executes ops w, w+N, w+2N, ... of each phase in
-// order. The aggregate key/op multiset is therefore identical at any
-// parallelism, and each worker's subsequence is deterministic.
-func runParallel(svc Service, m *meter.Meter, gen workload.Generator, cfg RunConfig) ([]time.Duration, time.Duration, error) {
-	ps, ok := svc.(ParallelService)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: %T does not support a parallel driver", svc)
-	}
-	workers := make([]ServiceWorker, cfg.Parallelism)
-	for i := range workers {
-		w, err := ps.Worker(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		workers[i] = w
-	}
-	stream := make([]workload.Op, cfg.Warmup+cfg.Ops)
-	for i := range stream {
-		stream[i] = gen.Next()
-	}
-	reqHist := cfg.Telemetry.Histogram("request.latency", "seconds")
-
-	var started atomic.Int64
-	var onOpMu sync.Mutex
-	onOp := func() {
-		n := started.Add(1) - 1
-		if cfg.OnOp != nil {
-			onOpMu.Lock()
-			cfg.OnOp(int(n))
-			onOpMu.Unlock()
-		}
-	}
-
-	// runPhase executes ops[lo:hi) across the workers, returning each
-	// worker's error and (when sample is true) per-op latencies.
-	runPhase := func(lo, hi int, sample bool) ([][]time.Duration, error) {
-		errs := make([]error, len(workers))
-		lats := make([][]time.Duration, len(workers))
-		var wg sync.WaitGroup
-		for w := range workers {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Pin to an OS thread: every thread-CPU clock delta this
-				// worker's request path takes is then against one clock.
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-				var mine []time.Duration
-				if sample {
-					mine = make([]time.Duration, 0, (hi-lo)/len(workers)+1)
-				}
-				for i := lo + w; i < hi; i += len(workers) {
-					onOp()
-					t0 := time.Now()
-					if err := applyOp(workers[w], stream[i]); err != nil {
-						errs[w] = err
-						break
-					}
-					d := time.Since(t0)
-					reqHist.Observe(int64(d))
-					if sample {
-						mine = append(mine, d)
-					}
-				}
-				lats[w] = mine
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return lats, nil
-	}
-
-	if _, err := runPhase(0, cfg.Warmup, false); err != nil {
-		return nil, 0, err
-	}
-	runtime.GC()
-	m.Reset()
-	cfg.Tracer.ResetCounters()
-	cfg.Telemetry.Reset()
-	t0 := time.Now()
-	perWorker, err := runPhase(cfg.Warmup, len(stream), true)
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, 0, err
-	}
-	lats := make([]time.Duration, 0, cfg.Ops)
-	for _, mine := range perWorker {
-		lats = append(lats, mine...)
-	}
-	return lats, wall, nil
 }
 
 // PreloadItems materializes the key population of a KV-style generator

@@ -91,7 +91,7 @@ func TestTelemetryParallelismInvariance(t *testing.T) {
 		}
 		const ops = 2400
 		res, err := RunExperimentCfg(svc, m, gen, RunConfig{
-			Warmup: 400, Ops: ops, Parallelism: par, Prices: meter.GCP, Telemetry: reg,
+			Warmup: 400, Ops: ops, Prices: meter.GCP, Telemetry: reg,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -244,7 +244,7 @@ func TestTraceMatrix(t *testing.T) {
 			var wg sync.WaitGroup
 			errs := make(chan error, c.par)
 			for w := 0; w < c.par; w++ {
-				var sw ServiceWorker = svc // parallelism 1: the default lane
+				var sw ServiceWorker = svc // parallelism 1: lane 0
 				if c.par > 1 {
 					var err error
 					if sw, err = svc.Worker(w); err != nil {

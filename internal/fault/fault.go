@@ -16,14 +16,15 @@
 // decisions through Decide and Down.
 //
 // Determinism: every decision is a pure function of (seed, node name,
-// decision-stream identity, per-stream call sequence number). The default
-// stream reproduces the classic single-threaded schedule exactly. A
-// concurrent driver gives each worker its own stream (Wrap with
-// WrapWorker, or DecideCtx with a worker index): each stream has a private
-// atomic sequence counter and a worker-specific salt, so a fixed seed
-// reproduces the identical per-worker fault schedule regardless of how the
-// scheduler interleaves workers. Kill/blackhole/slow-start switches remain
-// node-global, as they model node state, not caller state.
+// decision-stream identity, per-stream call sequence number). Stream 0 is
+// the default stream (Wrap, Decide), which reproduces the classic
+// single-threaded schedule exactly. A concurrent driver gives each worker
+// its own stream (WrapWorker, or DecideCtx with a worker index): each
+// stream has a private atomic sequence counter and a worker-specific
+// salt, so a fixed seed reproduces the identical per-worker fault schedule
+// regardless of how the scheduler interleaves workers. Kill/blackhole/
+// slow-start switches remain node-global, as they model node state, not
+// caller state.
 package fault
 
 import (
@@ -148,7 +149,7 @@ func (s *statsCell) snapshot() NodeStats {
 
 // stream is one deterministic decision stream against a node: a private
 // sequence counter plus a salt folded into every draw. The default stream
-// has salt 0, making its draws byte-identical to the historical
+// (stream 0) has salt 0, making its draws byte-identical to the historical
 // single-threaded injector.
 type stream struct {
 	salt  uint64
@@ -167,14 +168,14 @@ type nodeState struct {
 	blackholed atomic.Bool
 	slowLeft   atomic.Int64
 
-	def stream // the default (worker-less) decision stream
+	def stream // stream 0, the default decision stream
 
 	wmu     sync.RWMutex
 	workers map[int]*stream
 }
 
 func (n *nodeState) stream(worker int) *stream {
-	if worker < 0 {
+	if worker == 0 {
 		return &n.def
 	}
 	n.wmu.RLock()
@@ -325,12 +326,12 @@ func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 // call this on every Call; non-RPC layers (linked caches, raft groups)
 // call it directly.
 func (in *Injector) Decide(node string) error {
-	return in.DecideCtx(node, -1, nil)
+	return in.DecideCtx(node, 0, nil)
 }
 
-// DecideCtx is Decide on an explicit decision stream: worker >= 0 selects
-// that worker's private stream (deterministic under concurrency), worker
-// < 0 the default stream. A non-nil ctx receives the burn time charged to
+// DecideCtx is Decide on an explicit decision stream: worker selects that
+// worker's private stream (deterministic under concurrency); stream 0 is
+// the default stream. A non-nil ctx receives the burn time charged to
 // the fault component, so a caller's attribution window can subtract it.
 func (in *Injector) DecideCtx(node string, worker int, ctx *meter.AttrCtx) error {
 	return in.DecideTrace(node, worker, ctx, trace.SpanContext{})
@@ -470,7 +471,7 @@ func (in *Injector) NodeStats(node string) NodeStats {
 }
 
 // WorkerStats returns the counters for one worker's decision stream
-// against node. worker < 0 selects the default stream.
+// against node; stream 0 is the default stream.
 func (in *Injector) WorkerStats(node string, worker int) NodeStats {
 	in.mu.RLock()
 	n, ok := in.nodes[node]
@@ -478,7 +479,7 @@ func (in *Injector) WorkerStats(node string, worker int) NodeStats {
 	if !ok {
 		return NodeStats{}
 	}
-	if worker < 0 {
+	if worker == 0 {
 		return n.def.stats.snapshot()
 	}
 	n.wmu.RLock()
@@ -539,9 +540,9 @@ type Conn struct {
 }
 
 // Wrap returns conn filtered through the named node's default decision
-// stream.
+// stream (stream 0).
 func (in *Injector) Wrap(node string, conn rpc.Conn) *Conn {
-	return &Conn{node: node, worker: -1, in: in, next: conn}
+	return in.WrapWorker(node, 0, conn)
 }
 
 // WrapWorker returns conn filtered through the named node using worker's

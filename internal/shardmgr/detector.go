@@ -102,6 +102,11 @@ func fnvMix(key string) uint32 {
 // Record feeds one served key into the sketch. The key may alias a
 // transport buffer (the cache server's zero-copy Get decode): lookups
 // never retain it, and the insert path clones it before storing.
+func (d *Detector) Record(key string) {
+	d.stripes[stripeIndex()].record(key, d.k)
+}
+
+// record feeds one key into the stripe's summary of k counters.
 //
 // This is filtered space-saving: an unmonitored key first accumulates
 // mass in a small counting filter, and only displaces the minimum
@@ -110,11 +115,13 @@ func fnvMix(key string) uint32 {
 // serve path, where a one-off key would otherwise evict, allocate and
 // clone on every op — into one array increment, while a genuinely
 // heating key still crosses the gate within ~min occurrences. The
-// estimate invariant survives: an admitted key enters with count = its
+// estimate invariant survives because every unmonitored key's true count
+// is at most its filter slot: an admitted key enters with count = its
 // filter mass c (an overestimate — the slot is shared) and err = c-1,
-// so true_count ∈ [Count-Err, Count] still brackets.
-func (d *Detector) Record(key string) {
-	s := &d.stripes[stripeIndex()]
+// so true_count ∈ [Count-Err, Count] still brackets; an evicted key's
+// count is folded back into its slot, so it readmits no lower; and the
+// admitted key's slot keeps its mass for the other keys sharing it.
+func (s *detStripe) record(key string, k int) {
 	s.mu.Lock()
 	s.ops++
 	if e, ok := s.counts[key]; ok {
@@ -122,7 +129,7 @@ func (d *Detector) Record(key string) {
 		s.mu.Unlock()
 		return
 	}
-	if len(s.counts) < d.k {
+	if len(s.counts) < k {
 		s.counts[strings.Clone(key)] = &ssEntry{count: 1}
 		s.mu.Unlock()
 		return
@@ -137,8 +144,7 @@ func (d *Detector) Record(key string) {
 	}
 	// Admission: evict the true minimum counter (exact scan — the cached
 	// gate may run slightly behind) and monitor this key at its filter
-	// estimate. The slot's mass moved into the monitored entry, so the
-	// slot resets.
+	// estimate.
 	var minKey string
 	minCount := int64(1<<63 - 1)
 	for k, e := range s.counts {
@@ -151,7 +157,9 @@ func (d *Detector) Record(key string) {
 	}
 	delete(s.counts, minKey)
 	s.counts[strings.Clone(key)] = &ssEntry{count: c, err: c - 1}
-	s.filter[slot] = 0
+	if es := fnvMix(minKey) & (filterSlots - 1); int64(s.filter[es]) < minCount {
+		s.filter[es] = uint32(minCount)
+	}
 	s.min = minCount // stale-low is safe: it only re-opens the gate early
 	s.mu.Unlock()
 }

@@ -40,6 +40,43 @@ func TestDetectorFindsHeavyHitters(t *testing.T) {
 	}
 }
 
+// An evicted key that is later readmitted must re-enter no lower than
+// its true count: its evicted count is kept in its filter slot. The
+// sequence runs on one stripe with a unique minimum at every eviction,
+// so it depends on neither goroutine stacks nor map order.
+func TestDetectorReadmissionKeepsBracket(t *testing.T) {
+	const k = 8
+	var s detStripe
+	s.counts = make(map[string]*ssEntry, k)
+	truth := make(map[string]int64)
+	rec := func(key string, n int) {
+		for i := 0; i < n; i++ {
+			truth[key]++
+			s.record(key, k)
+		}
+	}
+	if fnvMix("victim")&(filterSlots-1) == fnvMix("intruder")&(filterSlots-1) {
+		t.Fatal("victim and intruder share a filter slot; pick other keys")
+	}
+	for i := 0; i < k-1; i++ {
+		rec(fmt.Sprintf("heavy%d", i), 100)
+	}
+	rec("victim", 2)   // the unique minimum monitored counter
+	rec("intruder", 1) // evicts victim (count 2)
+	if _, ok := s.counts["victim"]; ok {
+		t.Fatal("victim was not evicted")
+	}
+	rec("victim", 3) // readmitted, evicting intruder
+	for key, e := range s.counts {
+		if tr := truth[key]; tr > e.count || tr < e.count-e.err {
+			t.Errorf("key %s: true count %d outside [%d, %d]", key, tr, e.count-e.err, e.count)
+		}
+	}
+	if _, ok := s.counts["victim"]; !ok {
+		t.Fatal("victim was not readmitted")
+	}
+}
+
 // The detector clones keys on insert, so callers may feed it strings
 // aliasing reused transport buffers (the cache server's zero-copy
 // decode). Mutating the buffer after Record must not corrupt the
