@@ -59,3 +59,30 @@ func TestMeteringConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestSetupLeavesMeterUntouched pins set-up outside every bill: building
+// a service and bulk-loading its storage leaves no busy time and no
+// operations on any meter component, so nothing set-up did waits in the
+// meter for a window that forgets to Reset.
+func TestSetupLeavesMeterUntouched(t *testing.T) {
+	assertUntouched := func(t *testing.T, m *meter.Meter) {
+		t.Helper()
+		for _, c := range m.Snapshot() {
+			if c.Busy != 0 || c.Ops != 0 {
+				t.Errorf("set-up metered %s: busy %v, %d ops", c.Name, c.Busy, c.Ops)
+			}
+		}
+	}
+	for _, arch := range []Arch{Base, Remote, Linked} {
+		t.Run("kv/"+arch.String(), func(t *testing.T) {
+			m := meter.NewMeter()
+			if _, err := BuildKVService(smallCfg(arch, m), smallGen(1)); err != nil {
+				t.Fatal(err)
+			}
+			assertUntouched(t, m)
+		})
+		t.Run("catalog/"+arch.String(), func(t *testing.T) {
+			assertUntouched(t, newCatalogSvc(t, arch, ModeObject).m)
+		})
+	}
+}

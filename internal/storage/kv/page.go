@@ -11,20 +11,28 @@ import (
 // field 3 (version). The encode/decode here is the real CPU a storage node
 // pays to move a page across the disk boundary.
 
+// encodePage encodes dp into one buffer of exactly pageSize(dp) bytes.
 func encodePage(dp *decodedPage) []byte {
-	size := 16
-	for i := range dp.keys {
-		size += len(dp.keys[i]) + len(dp.vals[i]) + 16
-	}
-	e := wire.NewEncoder(size)
+	e := wire.NewEncoder(pageSize(dp))
 	for i := range dp.keys {
 		e.BytesField(1, dp.keys[i])
 		e.BytesField(2, dp.vals[i])
 		e.Uint64(3, dp.vers[i])
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
+}
+
+// pageSize returns len(encodePage(dp)) without encoding. Each entry is
+// three one-byte tags, the key and value length varints, the key and
+// value bytes, and the version varint.
+func pageSize(dp *decodedPage) int {
+	n := 0
+	for i := range dp.keys {
+		n += 3 + wire.UvarintLen(uint64(len(dp.keys[i]))) + len(dp.keys[i]) +
+			wire.UvarintLen(uint64(len(dp.vals[i]))) + len(dp.vals[i]) +
+			wire.UvarintLen(dp.vers[i])
+	}
+	return n
 }
 
 func decodePage(buf []byte) *decodedPage {

@@ -9,11 +9,12 @@
 // in encoded (serialized) pages; a read that misses both the memtable and
 // the block cache pays a calibrated disk-penalty CPU burn plus the real
 // CPU of decoding the page, while hits touch only in-memory forms. Writes
-// pay an append-style WAL charge immediately and the page re-encode cost
-// only at flush time, amortized across the batch — so storage CPU scales
-// with value size on both paths exactly as the paper observes (§5.3,
-// Figure 6), without overcharging writes with read-modify-write page churn
-// a real LSM does not do.
+// pay an append-style WAL charge immediately and the page write only at
+// flush time: the flush charges one page write, at the full encoded size
+// of the page the key lands in, for every key it applies (and one per
+// half of a split), while encoding each dirty page only once — so storage
+// CPU scales with value size on both paths as the paper observes (§5.3,
+// Figure 6).
 package kv
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cachecost/internal/cache"
 	"cachecost/internal/meter"
@@ -202,6 +204,9 @@ type Store struct {
 	mem      map[string]*memEntry     // pending writes
 	memBytes int64
 	dur      *durable // non-nil for durable stores; see durable.go
+	// unpriced counts Unpriced calls in flight; while nonzero the cost
+	// model is suspended (see Unpriced).
+	unpriced atomic.Int32
 }
 
 // memEntry is one pending write (or tombstone) in the memtable.
@@ -215,8 +220,12 @@ type memEntry struct {
 type page struct {
 	id       uint64
 	firstKey []byte // lower bound of the page's range; nil for the first page
-	encoded  []byte
-	n        int // entry count, tracked to avoid decoding for sizing
+	encoded  []byte // stale while dirty is set
+	// dirty is the content a running flush stored since the page was
+	// last encoded; the flush encodes it once, when it ends.
+	dirty *decodedPage
+	size  int // encoded size of the current content, dirty or not
+	n     int // entry count, tracked to avoid decoding for sizing
 }
 
 // decodedPage is the in-memory form held by the block cache.
@@ -266,9 +275,21 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// Unpriced runs fn with the store's cost model suspended: no modeled
+// disk work is burned and no busy time or operations reach Config.Comp.
+// Every real engine step still runs — memtable, flush, page encode, block
+// cache, Stats and, on durable stores, the WAL append, fsync and
+// compaction. It is for loading state before a metered window opens;
+// calls made on other goroutines while fn runs are unpriced too.
+func (s *Store) Unpriced(fn func()) {
+	s.unpriced.Add(1)
+	defer s.unpriced.Add(-1)
+	fn()
+}
+
 // track wraps a critical section with meter attribution.
 func (s *Store) track(fn func()) {
-	if s.cfg.Comp == nil {
+	if s.cfg.Comp == nil || s.unpriced.Load() > 0 {
 		fn()
 		return
 	}
@@ -278,6 +299,9 @@ func (s *Store) track(fn func()) {
 }
 
 func (s *Store) burnDisk(n int, perByte float64) {
+	if s.unpriced.Load() > 0 {
+		return
+	}
 	work := s.cfg.DiskPenaltyPerOp + int(perByte*float64(n))
 	if s.cfg.Burner != nil {
 		s.cfg.Burner.Burn(work)
@@ -311,7 +335,9 @@ func (s *Store) loadPage(p *page) *decodedPage {
 	if dp, ok := s.bcache.Get(cacheKey(p.id)); ok {
 		return dp
 	}
-	// Block-cache miss: pay the disk read and decode.
+	// Block-cache miss: pay the disk read and decode. A page the running
+	// flush dirtied is encoded first, so the read sees what was written.
+	s.encodeDirty(p)
 	s.stats.DiskReads++
 	s.stats.DiskReadBytes += int64(len(p.encoded))
 	s.burnDisk(len(p.encoded), s.cfg.DiskPenaltyPerByte)
@@ -320,15 +346,27 @@ func (s *Store) loadPage(p *page) *decodedPage {
 	return dp
 }
 
-// storePage re-encodes dp as the authoritative form of p and writes it
-// "to disk", updating the block cache write-through.
+// storePage makes dp the content of p and writes it "to disk", updating
+// the block cache write-through. The write is charged at dp's encoded
+// size; the encoding itself waits for encodeDirty, so a flush that
+// stores a page once per key it applies encodes the page once.
 func (s *Store) storePage(p *page, dp *decodedPage) {
-	p.encoded = encodePage(dp)
+	p.dirty = dp
+	p.size = pageSize(dp)
 	p.n = len(dp.keys)
 	s.stats.DiskWrites++
-	s.stats.DiskWriteBytes += int64(len(p.encoded))
-	s.burnDisk(len(p.encoded), s.cfg.DiskWritePenaltyPerByte)
+	s.stats.DiskWriteBytes += int64(p.size)
+	s.burnDisk(p.size, s.cfg.DiskWritePenaltyPerByte)
 	s.bcache.Put(cacheKey(p.id), dp)
+}
+
+// encodeDirty brings p.encoded up to date with content stored since the
+// page was last encoded. Callers hold s.mu.
+func (s *Store) encodeDirty(p *page) {
+	if p.dirty != nil {
+		p.encoded = encodePage(p.dirty)
+		p.dirty = nil
+	}
 }
 
 // Get returns a copy of the value and its version.
@@ -497,6 +535,9 @@ func (s *Store) flushLocked() {
 		} else {
 			s.applyToPages([]byte(k), e.val, e.ver)
 		}
+	}
+	for _, p := range s.pages {
+		s.encodeDirty(p) // once per page, however many keys it absorbed
 	}
 	s.mem = make(map[string]*memEntry)
 	s.memBytes = 0
@@ -744,7 +785,7 @@ func (s *Store) SetCacheBytes(n int64) {
 // Callers hold s.mu. A page with a single oversized entry is left alone.
 func (s *Store) maybeSplit(idx int) {
 	p := s.pages[idx]
-	if len(p.encoded) <= s.cfg.PageBytes || p.n < 2 {
+	if p.size <= s.cfg.PageBytes || p.n < 2 {
 		return
 	}
 	dp := s.loadPage(p)

@@ -225,6 +225,39 @@ func TestMeteredStoreAttributesTime(t *testing.T) {
 	}
 }
 
+// TestUnpricedLeavesMeterUntouched runs priced-out loads from several
+// goroutines at once: the meter sees nothing, the engine still flushes,
+// and the cost model is back once Unpriced returns.
+func TestUnpricedLeavesMeterUntouched(t *testing.T) {
+	comp := meter.NewMeter().Component("storage.kv")
+	s := NewStore(Config{PageBytes: 512, CacheBytes: 1 << 20, MemtableBytes: 4 << 10, Comp: comp})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Unpriced(func() {
+				for i := 0; i < 200; i++ {
+					k := []byte(fmt.Sprintf("g%d-%03d", g, i))
+					s.Put(k, bytes.Repeat([]byte("v"), 64))
+					s.Get(k)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	if comp.Busy() != 0 || comp.Ops() != 0 {
+		t.Fatalf("unpriced work metered: busy %v, %d ops", comp.Busy(), comp.Ops())
+	}
+	if st := s.Stats(); st.Flushes == 0 || st.DiskWrites == 0 {
+		t.Fatalf("unpriced work skipped the engine: %+v", st)
+	}
+	s.Put([]byte("after"), []byte("v"))
+	if comp.Busy() <= 0 || comp.Ops() != 1 {
+		t.Fatalf("priced put after Unpriced: busy %v, %d ops", comp.Busy(), comp.Ops())
+	}
+}
+
 func TestDiskPenaltyScalesWithValueSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("measured cost ratios are distorted by race-detector instrumentation")

@@ -116,27 +116,46 @@ func TestVersionCheck(t *testing.T) {
 }
 
 func TestBootstrapBypassesMetering(t *testing.T) {
-	m := meter.NewMeter()
-	n, c := newTestNode(t, m)
-	err := n.Bootstrap([]string{
-		"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)",
-		"INSERT INTO t (id, v) VALUES (1, 'x')",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Component("storage.sql").Busy(); got != 0 {
-		t.Fatalf("bootstrap should not meter, got %v", got)
-	}
-	// Data visible on every replica and through RPC.
-	rs, err := c.Query("SELECT v FROM t WHERE id = 1")
-	if err != nil || len(rs.Rows) != 1 {
-		t.Fatalf("rows=%v err=%v", rs, err)
-	}
-	for i := 0; i < 3; i++ {
-		if got, _ := n.dbs[i].ExecSQL("SELECT * FROM t"); len(got.Rows) != 1 {
-			t.Fatalf("replica %d missing bootstrap data", i)
-		}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			m := meter.NewMeter()
+			n := NewNode(Config{
+				Replicas:        3,
+				BlockCacheBytes: 8 << 20,
+				Meter:           m,
+				Durable:         durable,
+				MemtableBytes:   4 << 10, // durable: flush and compact during bootstrap
+				CompactAt:       2,
+			})
+			defer n.Close()
+			c := NewClient(rpc.NewDirect(n.Server()))
+			stmts := []string{"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"}
+			for i := 1; i <= 100; i++ {
+				stmts = append(stmts, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, '%s')", i, strings.Repeat("x", 100)))
+			}
+			if err := n.Bootstrap(stmts); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range m.Snapshot() {
+				if c.Busy != 0 || c.Ops != 0 {
+					t.Errorf("bootstrap metered %s: busy %v, %d ops", c.Name, c.Busy, c.Ops)
+				}
+			}
+			// The engine's real work still ran.
+			if st := n.LeaderDB().Store().Stats(); durable && (st.WALAppends == 0 || st.Flushes == 0 || st.Compactions == 0) {
+				t.Errorf("durable bootstrap skipped engine work: %+v", st)
+			}
+			// Data visible on every replica and through RPC.
+			rs, err := c.Query("SELECT v FROM t WHERE id = 1")
+			if err != nil || len(rs.Rows) != 1 {
+				t.Fatalf("rows=%v err=%v", rs, err)
+			}
+			for i := 0; i < 3; i++ {
+				if got, _ := n.dbs[i].ExecSQL("SELECT * FROM t"); len(got.Rows) != 100 {
+					t.Fatalf("replica %d missing bootstrap data", i)
+				}
+			}
+		})
 	}
 }
 
